@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from multistat.messi import assemble_region_system
 from multistat.networks import hybrid_kinase
-from multistat.witness import certify_multistationarity, deformed_system, validate_root_set
+from multistat.witness import DeformedSystem, certify_multistationarity, validate_root_set
 
 KAPPA = dict(k1=1, k2=1, k3=2, k4=1, k5=1, k6=1)
 TOTALS = [Fraction(7, 4), Fraction(1)]
@@ -48,7 +48,7 @@ def main():
 
     # independent validation: an interval-arithmetic sweep of the positive
     # quadrant confirms the deformed system has no further roots
-    system = deformed_system(region.cfg, region.C, report.height, report.t_star)
+    system = DeformedSystem(region.cfg, region.C, report.height, report.t_star)
     missed, unresolved = validate_root_set(system, report.roots)
     print("\nexclusion sweep: %d missed roots, %d unresolved boxes"
           % (len(missed), len(unresolved)))

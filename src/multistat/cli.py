@@ -15,7 +15,6 @@ variable ``MULTISTAT_SEED`` fixes the lattice-seed jitter.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -283,7 +282,6 @@ def cmd_witness(args):
             return EXIT_HYPOTHESIS
         rep = witness.witness_search(
             region.cfg, region.C, best, budget=args.budget,
-            threads=args.threads,
             context=(net, partition, kappa, totals, region))
         doc["witness"] = _witness_stage(rep)
         lines.append("family of %d simplices: %s" % (
@@ -448,8 +446,6 @@ def _add_network_options(p):
 def _add_common(p):
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--quiet", action="store_true", help="suppress the summary")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for independent solver runs")
 
 
 def build_parser():

@@ -318,7 +318,8 @@ def strict_feasible(normals, zero_coords=()):
     for k, i in enumerate(free):
         h[i] = x[k] - 1
     for mvec in normals:
-        assert sum(Fraction(a) * hh for a, hh in zip(mvec, h)) > 0
+        if sum(Fraction(a) * hh for a, hh in zip(mvec, h)) <= 0:
+            raise LPError("slack LP returned a point outside the open cone")
     return h
 
 

@@ -13,24 +13,23 @@ adaptive rectangle-exclusion sweep that bounds the risk of missed roots.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cayley, decoration, messi, ratlin
 from . import points as points_mod
-from .points import PointConfiguration
 
 __all__ = [
     "phi_map",
     "DeformedSystem",
-    "deformed_system",
     "CertifiedRoot",
     "newton_solve",
+    "newton_solve_many",
     "count_positive_roots",
     "exclusion_boxes",
     "validate_root_set",
@@ -44,7 +43,12 @@ STEP_TOL = 1e-14
 SINGULAR_TOL = 1e-8
 DISTINCT_TOL = 1e-6
 MAX_ITER = 200
-LOG_DOMAIN_LIMIT = 600.0
+# backtracking step lengths 1, 1/2, ... > 1e-8; a smaller step makes no useful progress
+ARMIJO_LADDER = 0.5 ** np.arange(27)
+# seeds iterated together; bounds a line-search stack at 26 points per seed
+NEWTON_BLOCK = 256
+# the state of a seed in the iteration; a stopped seed is then certified
+ITERATING, STOPPED, FAILED = range(3)
 
 
 def phi_map(cfg, alpha, t, h):
@@ -74,7 +78,8 @@ class DeformedSystem:
 
     Coefficients are kept as (sign, log magnitude) pairs so the evaluation
     stays finite even when ``t^{h_j}`` leaves the double range; every
-    residual is scaled row-wise by the largest term magnitude.
+    residual is scaled row-wise by the largest term magnitude.  Evaluations
+    take a point ``u`` of shape ``(d,)`` or a stack ``(k, d)`` of them.
     """
 
     def __init__(self, cfg, C, h, t):
@@ -106,32 +111,32 @@ class DeformedSystem:
 
     def scaled_terms(self, u):
         """Per-row term log-magnitudes ``log|c_ij t^{h_j}| + <a_j, u>``."""
-        return self.logmag + self.exponents @ np.asarray(u, dtype=float)
+        u = np.asarray(u, dtype=float)
+        # one matrix-vector product per point: stacked points round as alone
+        return self.logmag + np.matmul(self.exponents, u[..., None])[..., None, :, 0]
 
     def residual_jacobian(self, u):
         """Row-scaled residual vector and Jacobian at ``u = log x``.
 
         Each row is divided by its largest term magnitude, so a residual
         entry is the relative cancellation of that equation and the
-        certificates are invariant under row and coordinate scalings.
+        certificates are invariant under row and coordinate scalings.  A
+        point with a row that has no finite largest term gets NaN values.
         """
         terms = self._scaled_term_values(u)
-        return terms.sum(axis=1), terms @ self.exponents
+        return terms.sum(axis=-1), terms @ self.exponents
 
     def residual(self, u):
-        return float(np.max(np.abs(self._scaled_term_values(u).sum(axis=1))))
+        """Max-norm of the row-scaled residual per point; NaN if not evaluable."""
+        res = np.max(np.abs(self._scaled_term_values(u).sum(axis=-1)), axis=-1)
+        return float(res) if res.ndim == 0 else res
 
     def _scaled_term_values(self, u):
         w = self.scaled_terms(u)
-        top = np.max(w, axis=1)
-        if not np.all(np.isfinite(top)):
-            raise ArithmeticError("a row has no terms")
-        return self.sign * np.exp(w - top[:, None])
-
-
-def deformed_system(cfg, C, h, t):
-    """At ``t = 1`` this is the base system itself."""
-    return DeformedSystem(cfg, C, h, t)
+        top = np.max(w, axis=-1, keepdims=True)
+        top[~np.isfinite(top)] = np.nan
+        np.exp(np.subtract(w, top, out=w), out=w)  # in place: stacks can be large
+        return np.multiply(self.sign, w, out=w)
 
 
 @dataclass
@@ -148,71 +153,100 @@ class CertifiedRoot:
 
 
 def newton_solve(system, seed, basin="seed"):
-    """Damped Newton iteration in log coordinates from a positive seed.
+    """:func:`newton_solve_many` for a single seed."""
+    return newton_solve_many(system, [seed], [basin])[0]
+
+
+def newton_solve_many(system, seeds, basins):
+    """Damped Newton iteration in log coordinates from each positive seed.
 
     Armijo backtracking on the scaled residual keeps iterates finite;
-    convergence requires both a tiny step and a certified residual.
-    Returns ``None`` when the iteration diverges, stalls, or the final
-    Jacobian fails the nondegeneracy test.
+    convergence requires both a tiny step and a certified residual.  Returns
+    one entry per seed: its :class:`CertifiedRoot`, or ``None`` when the
+    iteration diverges, stalls, or the final Jacobian fails the
+    nondegeneracy test.  The seeds iterate together, ``NEWTON_BLOCK`` at a
+    time, and each follows exactly the iteration it would follow alone.
     """
-    u = np.log(np.asarray(seed, dtype=float))
-    if not np.all(np.isfinite(u)):
-        return None
-    step = np.inf
+    if len(seeds) > NEWTON_BLOCK:
+        return (newton_solve_many(system, seeds[:NEWTON_BLOCK], basins[:NEWTON_BLOCK])
+                + newton_solve_many(system, seeds[NEWTON_BLOCK:], basins[NEWTON_BLOCK:]))
+    u = np.log(np.asarray(seeds, dtype=float).reshape(len(seeds), system.d))
+    step = np.full(len(u), np.inf)
+    state = np.where(np.all(np.isfinite(u), axis=1), ITERATING, FAILED)
     for _ in range(MAX_ITER):
-        try:
-            f, J = system.residual_jacobian(u)
-        except (ArithmeticError, FloatingPointError):
-            return None
-        res = float(np.max(np.abs(f)))
-        if res < RESIDUAL_TOL and step < STEP_TOL:
+        idx = np.flatnonzero(state == ITERATING)
+        if idx.size == 0:
             break
-        try:
-            du = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(du)):
-            return None
-        lam = 1.0
-        accepted = False
-        while lam > 1e-8:  # a smaller step cannot make useful progress
-            trial = u + lam * du
-            try:
-                new_res = system.residual(trial)
-            except (ArithmeticError, FloatingPointError):
-                new_res = np.inf
-            if new_res <= (1 - 1e-4 * lam) * res or new_res < RESIDUAL_TOL:
-                u = trial
-                step = lam * float(np.max(np.abs(du)))
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            if res < RESIDUAL_TOL:
-                step = 0.0
-                break
-            return None
-        if step == 0.0:
-            break
-    return _certify(system, u, basin)
+        f, J = system.residual_jacobian(u[idx])
+        res = np.max(np.abs(f), axis=1)
+        state[idx[(res < RESIDUAL_TOL) & (step[idx] < STEP_TOL)]] = STOPPED
+        state[idx[~np.isfinite(res)]] = FAILED
+        go = state[idx] == ITERATING
+        idx, res, du = idx[go], res[go], _newton_steps(J[go], f[go])
+        ok = np.all(np.isfinite(du), axis=1)
+        state[idx[~ok]] = FAILED
+        idx, res, du = idx[ok], res[ok], du[ok]
+        rung = _first_accepted(system, u[idx], du, res)
+        # no step length accepted: done if already certified, else stalled
+        stuck = rung < 0
+        state[idx[stuck]] = np.where(res[stuck] < RESIDUAL_TOL, STOPPED, FAILED)
+        idx, du, lam = idx[~stuck], du[~stuck], ARMIJO_LADDER[rung[~stuck]]
+        u[idx] = u[idx] + lam[:, None] * du
+        step[idx] = lam * np.max(np.abs(du), axis=1)
+        state[idx[step[idx] == 0.0]] = STOPPED
+    # seeds still iterating after MAX_ITER steps are certified where they are
+    return _certify(system, u, state != FAILED, basins)
 
 
-def _certify(system, u, basin):
+def _newton_steps(J, f):
+    """Solutions of ``J du = -f``; a stack holding a singular ``J`` is
+    solved one system at a time, with NaN rows for the singular ones."""
     try:
-        f, J = system.residual_jacobian(u)
-    except (ArithmeticError, FloatingPointError):
-        return None
-    res = float(np.max(np.abs(f)))
-    if res >= RESIDUAL_TOL:
-        return None
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv[0] == 0 or sv[-1] <= SINGULAR_TOL * sv[0]:
-        return None
-    return CertifiedRoot(
-        x=np.exp(u), log_x=u.copy(), residual=res,
-        sigma_min=float(sv[-1]), sigma_ratio=float(sv[-1] / sv[0]),
-        basin=basin,
-    )
+        return np.linalg.solve(J, -f[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(J) == 1:
+            return np.full(f.shape, np.nan)
+        return np.concatenate([_newton_steps(J[i:i + 1], f[i:i + 1]) for i in range(len(J))])
+
+
+def _first_accepted(system, u, du, res):
+    """Index into ``ARMIJO_LADDER`` of the step length that backtracking
+    from ``lam = 1`` accepts first, or -1.  Every point tries ``lam = 1``;
+    the rest of the ladder is evaluated at once for the points that fail."""
+    rung = np.full(len(u), -1)
+    todo = np.arange(len(u))
+    for lo, hi in ((0, 1), (1, len(ARMIJO_LADDER))):
+        if todo.size == 0:
+            break
+        lam = ARMIJO_LADDER[lo:hi]
+        trial = u[todo, None, :] + lam[:, None] * du[todo, None, :]
+        new_res = system.residual(trial.reshape(-1, u.shape[1])).reshape(trial.shape[:2])
+        accept = (new_res <= (1 - 1e-4 * lam) * res[todo, None]) | (new_res < RESIDUAL_TOL)
+        hit = accept.any(axis=1)
+        rung[todo[hit]] = lo + accept[hit].argmax(axis=1)
+        todo = todo[~hit]
+    return rung
+
+
+def _certify(system, u, finished, basins):
+    """Certified roots at the rows ``finished`` of ``u``, else ``None``."""
+    roots = [None] * len(u)
+    idx = np.flatnonzero(finished)
+    if idx.size == 0:
+        return roots
+    f, J = system.residual_jacobian(u[idx])
+    res = np.max(np.abs(f), axis=1)
+    small = res < RESIDUAL_TOL
+    idx, res = idx[small], res[small]
+    for i, r, sv in zip(idx, res, np.linalg.svd(J[small], compute_uv=False)):
+        if sv[0] == 0 or sv[-1] <= SINGULAR_TOL * sv[0]:
+            continue
+        roots[i] = CertifiedRoot(
+            x=np.exp(u[i]), log_x=u[i].copy(), residual=float(r),
+            sigma_min=float(sv[-1]), sigma_ratio=float(sv[-1] / sv[0]),
+            basin=basins[i],
+        )
+    return roots
 
 
 def _simplex_seed(system, simplex):
@@ -245,59 +279,36 @@ def _simplex_seed(system, simplex):
 
 
 def _lattice_seeds(d, rng):
-    """A 5^d logarithmic lattice over [1e-6, 1e6]^d with a small jitter."""
+    """A 5^d logarithmic lattice over [1e-6, 1e6]^d with a small jitter;
+    the first coordinate varies fastest."""
     levels = np.linspace(math.log(1e-6), math.log(1e6), 5)
     seeds = []
-    grids = [levels] * d
-    idx = [0] * d
-    while True:
-        point = np.array([grids[k][idx[k]] for k in range(d)])
+    for idx in itertools.product(range(5), repeat=d):
+        point = levels[list(reversed(idx))]
         if rng is not None:
             point = point + np.array([rng.uniform(-0.1, 0.1) for _ in range(d)])
         seeds.append(np.exp(point))
-        for k in range(d):
-            idx[k] += 1
-            if idx[k] < 5:
-                break
-            idx[k] = 0
-        else:
-            break
     return seeds
 
 
-def count_positive_roots(system, family=None, rng=None, threads=1):
-    """Distinct certified positive roots found from decorated-subsystem
-    seeds plus a logarithmic lattice; deduplicated by log-coordinate
-    max-norm, earlier seeds win ties.
-
-    Newton runs are independent, so with ``threads > 1`` they execute in a
-    thread pool; the results are merged in seed order, keeping the output
-    deterministic regardless of completion order.
-    """
-    seeds = []
-    if family is not None:
-        for s in family.simplices:
-            seed = _simplex_seed(system, s)
-            if seed is not None:
-                seeds.append(("simplex %s" % (tuple(s),), seed))
-    for i, seed in enumerate(_lattice_seeds(system.d, rng)):
-        seeds.append(("lattice %d" % i, seed))
-    if threads > 1 and len(seeds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda bs: newton_solve(system, bs[1], bs[0]), seeds)
-            )
-    else:
-        results = [newton_solve(system, seed, basin) for basin, seed in seeds]
+def _distinct_roots(system, seeds, rng):
+    """Distinct roots from the ``(basin, seed or None)`` pairs, then the lattice."""
+    seeds = [(b, s) for b, s in seeds if s is not None] + [
+        ("lattice %d" % i, s) for i, s in enumerate(_lattice_seeds(system.d, rng))]
     roots = []
-    for root in results:
-        if root is None:
-            continue
-        if all(root.distinct_from(r) for r in roots):
+    for root in newton_solve_many(system, [s for _, s in seeds], [b for b, _ in seeds]):
+        if root is not None and all(root.distinct_from(r) for r in roots):
             roots.append(root)
     return roots
+
+
+def count_positive_roots(system, family=None, rng=None):
+    """Distinct certified positive roots found from decorated-subsystem
+    seeds plus a logarithmic lattice; deduplicated by log-coordinate
+    max-norm, earlier seeds win ties."""
+    simplices = family.simplices if family is not None else []
+    return _distinct_roots(
+        system, [("simplex %s" % (tuple(s),), _simplex_seed(system, s)) for s in simplices], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +386,12 @@ def exclusion_boxes(system, lo=None, hi=None, max_depth=16):
     return out
 
 
+def _solve_boxes(system, boxes):
+    """The centres of the log-boxes and Newton's result from each."""
+    centres = np.exp([0.5 * (np.array(lo) + np.array(hi)) for lo, hi in boxes])
+    return centres, newton_solve_many(system, centres, ["exclusion box"] * len(boxes))
+
+
 def validate_root_set(system, roots, max_depth=16, refine_depth=14):
     """Search every unexcluded box for roots the seeds may have missed.
 
@@ -384,28 +401,24 @@ def validate_root_set(system, roots, max_depth=16, refine_depth=14):
     (interval bounds overestimate near a vanishing equation); only boxes
     that survive the refinement too are reported as unresolved.
     """
-    missed = []
-    unresolved = []
-    for lo, hi in exclusion_boxes(system, max_depth=max_depth):
-        center = np.exp(0.5 * (np.array(lo) + np.array(hi)))
-        near = any(
-            np.max(np.abs(np.log(center) - r.log_x))
-            <= max(hi[0] - lo[0], hi[1] - lo[1]) + 1e-3
-            for r in roots
-        )
-        root = newton_solve(system, center, "exclusion box")
-        if root is None:
-            if near:
-                continue
-            for sub_lo, sub_hi in exclusion_boxes(system, lo, hi, refine_depth):
-                sub_center = np.exp(0.5 * (np.array(sub_lo) + np.array(sub_hi)))
-                sub_root = newton_solve(system, sub_center, "exclusion box")
-                if sub_root is None:
-                    unresolved.append((sub_lo, sub_hi))
-                elif all(sub_root.distinct_from(r) for r in roots):
-                    missed.append(sub_root)
-            continue
-        if all(root.distinct_from(r) for r in roots):
+    boxes = exclusion_boxes(system, max_depth=max_depth)
+    centres, found = _solve_boxes(system, boxes)
+    refine = {}
+    for b, ((lo, hi), centre, root) in enumerate(zip(boxes, centres, found)):
+        width = max(hi[0] - lo[0], hi[1] - lo[1]) + 1e-3
+        if root is None and not any(
+                np.max(np.abs(np.log(centre) - r.log_x)) <= width for r in roots):
+            refine[b] = exclusion_boxes(system, lo, hi, refine_depth)
+    sub_found = iter(_solve_boxes(system, [box for subs in refine.values() for box in subs])[1])
+    missed, unresolved = [], []
+    for b, root in enumerate(found):
+        for box in refine.get(b, ()):
+            sub_root = next(sub_found)
+            if sub_root is None:
+                unresolved.append(box)
+            elif all(sub_root.distinct_from(r) for r in roots):
+                missed.append(sub_root)
+        if root is not None and all(root.distinct_from(r) for r in roots):
             missed.append(root)
     return missed, unresolved
 
@@ -429,8 +442,7 @@ class WitnessReport:
     rescale: object = None
 
 
-def witness_search(cfg, C, family, h=None, budget=60, rng=None, context=None,
-                   threads=1):
+def witness_search(cfg, C, family, h=None, budget=60, rng=None, context=None):
     """Walk the geometric schedule ``t = 2^-1, ..., 2^-budget`` and stop at
     the first ``t`` whose certified-root count reaches the family size.
 
@@ -451,7 +463,7 @@ def witness_search(cfg, C, family, h=None, budget=60, rng=None, context=None,
     for step in range(1, budget + 1):
         t = 2.0 ** -step
         system = DeformedSystem(cfg, C, hf, t)
-        roots = count_positive_roots(system, family, rng, threads)
+        roots = count_positive_roots(system, family, rng)
         log.append((t, len(roots)))
         if len(roots) >= p:
             report = WitnessReport(
@@ -631,18 +643,9 @@ def mixed_witness_search(cfg, C, report=None, family=None, budget=60, rng=None):
     for step in range(1, budget + 1):
         t = 2.0 ** -step
         system = DeformedSystem(cfg, C, H, t)
-        roots = []
-        for s in family.simplices:
-            seed = _mixed_simplex_seed(system, report, s)
-            if seed is None:
-                continue
-            root = newton_solve(system, seed, "mixed simplex %s" % (tuple(s),))
-            if root is not None and all(root.distinct_from(r) for r in roots):
-                roots.append(root)
-        for i, seed in enumerate(_lattice_seeds(system.d, rng)):
-            root = newton_solve(system, seed, "lattice %d" % i)
-            if root is not None and all(root.distinct_from(r) for r in roots):
-                roots.append(root)
+        roots = _distinct_roots(system, [
+            ("mixed simplex %s" % (tuple(s),), _mixed_simplex_seed(system, report, s))
+            for s in family.simplices], rng)
         log.append((t, len(roots)))
         if len(roots) >= p:
             return WitnessReport(
@@ -659,7 +662,7 @@ def mixed_witness_search(cfg, C, report=None, family=None, budget=60, rng=None):
 
 
 def certify_multistationarity(net, partition, kappa, totals, chosen=None,
-                              budget=60, rng=None, threads=1):
+                              budget=60, rng=None):
     """Full pipeline from a network to a multistationarity witness.
 
     Parametrize the steady states, assemble the region system, enumerate
@@ -675,7 +678,7 @@ def certify_multistationarity(net, partition, kappa, totals, chosen=None,
     if best is None:
         return decor, None
     report = witness_search(
-        region.cfg, region.C, best, budget=budget, rng=rng, threads=threads,
+        region.cfg, region.C, best, budget=budget, rng=rng,
         context=(net, partition, kappa, totals, region),
     )
     report.decoration = decor

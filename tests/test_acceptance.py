@@ -36,8 +36,8 @@ from multistat.networks import (
 from multistat.points import PointConfiguration, is_regular, joint_cone, regular_subdivision
 from multistat.ratlin import cone_contains, kernel_basis
 from multistat.witness import (
+    DeformedSystem,
     certify_multistationarity,
-    deformed_system,
     exclusion_boxes,
     newton_solve,
     phi_map,
@@ -351,7 +351,7 @@ def test_acceptance_7iii_restricted_roots_vs_exclusion_oracle():
                 [C[i][j] if j in simplex else Fraction(0) for j in range(5)]
                 for i in range(2)
             ]
-            system = deformed_system(cfg, restricted, [0.0] * 5, 1.0)
+            system = DeformedSystem(cfg, restricted, [0.0] * 5, 1.0)
             roots = []
             for lo, hi in exclusion_boxes(system, max_depth=24):
                 root = newton_solve(system, np.exp(0.5 * (np.array(lo) + np.array(hi))))

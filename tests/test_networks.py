@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,21 @@ def test_parse_hk_file():
         (r.source, r.target) for r in ref.reactions
     ]
     assert part == ref_part
+
+
+def test_readme_network_file_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```text\n(.*?)```", readme, re.S)
+    example = [b for b in blocks if "species:" in b]
+    assert len(example) == 1
+    net, part, totals = parse_network(example[0])
+    ref, ref_part = hybrid_kinase()
+    assert [(r.source, r.target) for r in net.reactions] == [
+        (r.source, r.target) for r in ref.reactions
+    ]
+    assert part == ref_part
+    assert net.rates() == {"k1": 1, "k2": 1, "k3": 2, "k4": 1, "k5": 1, "k6": 1}
+    assert totals == {"T1": Fraction(7, 4), "T2": 1}
 
 
 def test_parse_decimal_and_fraction_rates():

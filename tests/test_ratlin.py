@@ -91,6 +91,17 @@ def test_strict_feasible_empty_cone():
     assert ratlin.strict_feasible([(1, 1), (-1, -1)]) is None
 
 
+def test_strict_feasible_rejects_non_interior_optimum(monkeypatch):
+    # slack s = 1 but h = u - 1 = 0 lies on the boundary of the cone
+    def boundary_point(A, b, c):
+        x = [Fraction(1)] * len(c)
+        return "optimal", x, Fraction(-1)
+
+    monkeypatch.setattr(ratlin, "solve_standard_lp", boundary_point)
+    with pytest.raises(ratlin.LPError):
+        ratlin.strict_feasible([(1, 0), (0, 1)])
+
+
 def test_strict_feasible_zero_coords():
     h = ratlin.strict_feasible([(1, -2, 0), (0, 1, -1)], zero_coords=[2])
     assert h is not None and h[2] == 0

@@ -4,18 +4,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from multistat.decoration import find_decorated
 from multistat.messi import assemble_region_system
 from multistat.networks import hybrid_kinase, phosphorylation
 from multistat.points import PointConfiguration, joint_cone
 from multistat.ratlin import kernel_basis
+from multistat import witness
 from multistat.witness import (
     DeformedSystem,
     certify_multistationarity,
     count_positive_roots,
-    deformed_system,
     newton_solve,
+    newton_solve_many,
     phi_map,
     validate_root_set,
     witness_search,
@@ -81,7 +84,7 @@ def test_phi_map_rejects_bad_inputs():
 def test_deformed_at_t_one_is_base_system():
     _, _, region = hk_region()
     h = [1, 1, 0, 0, 0]
-    system = deformed_system(region.cfg, region.C, h, 1.0)
+    system = DeformedSystem(region.cfg, region.C, h, 1.0)
     rng = random.Random(2)
     for _ in range(20):
         x = [rng.uniform(0.2, 4.0) for _ in range(2)]
@@ -96,7 +99,7 @@ def test_deformed_at_t_one_is_base_system():
 
 def test_newton_univariate():
     cfg = PointConfiguration([(0,), (1,), (2,)])
-    system = deformed_system(cfg, [[-2, 1, 0]], [0, 0, 0], 1.0)
+    system = DeformedSystem(cfg, [[-2, 1, 0]], [0, 0, 0], 1.0)
     root = newton_solve(system, [1.0])
     assert root is not None
     assert root.x[0] == pytest.approx(2.0, abs=1e-12)
@@ -104,17 +107,139 @@ def test_newton_univariate():
     assert root.sigma_ratio > 1e-8
 
 
+def reference_newton(system, seed, basin):
+    """The one-seed damped Newton loop that ``newton_solve_many`` stacks:
+    Armijo backtracking from ``lam = 1`` by halving while ``lam > 1e-8``."""
+    u = np.log(np.asarray(seed, dtype=float))
+    if not np.all(np.isfinite(u)):
+        return None
+    step = np.inf
+    for _ in range(witness.MAX_ITER):
+        f, J = system.residual_jacobian(u)
+        res = float(np.max(np.abs(f)))
+        if not math.isfinite(res):
+            return None
+        if res < witness.RESIDUAL_TOL and step < witness.STEP_TOL:
+            break
+        try:
+            du = np.linalg.solve(J, -f)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(du)):
+            return None
+        lam = 1.0
+        while lam > 1e-8:
+            trial = u + lam * du
+            new_res = system.residual(trial)
+            if new_res <= (1 - 1e-4 * lam) * res or new_res < witness.RESIDUAL_TOL:
+                u = trial
+                step = lam * float(np.max(np.abs(du)))
+                break
+            lam *= 0.5
+        else:
+            if res < witness.RESIDUAL_TOL:
+                break
+            return None
+        if step == 0.0:
+            break
+    f, J = system.residual_jacobian(u)
+    res = float(np.max(np.abs(f)))
+    if not res < witness.RESIDUAL_TOL:
+        return None
+    sv = np.linalg.svd(J, compute_uv=False)
+    if sv[0] == 0 or sv[-1] <= witness.SINGULAR_TOL * sv[0]:
+        return None
+    return witness.CertifiedRoot(
+        x=np.exp(u), log_x=u.copy(), residual=res, sigma_min=float(sv[-1]),
+        sigma_ratio=float(sv[-1] / sv[0]), basin=basin,
+    )
+
+
+def same_root(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a.log_x.tobytes() == b.log_x.tobytes() and a.x.tobytes() == b.x.tobytes()
+            and (a.residual, a.sigma_min, a.sigma_ratio, a.basin)
+            == (b.residual, b.sigma_min, b.sigma_ratio, b.basin))
+
+
+@st.composite
+def systems_and_seeds(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 2, d + 4))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 3)] * d),
+                           min_size=n, max_size=n, unique=True))
+    try:
+        cfg = PointConfiguration(points)
+    except ValueError:
+        assume(False)
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    C = [[draw(coeff) for _ in range(n)] for _ in range(d)]
+    h = [draw(st.integers(-3, 3)) for _ in range(n)]
+    t = draw(st.floats(1e-12, 1.0))
+    # moderate seeds converge or stall; far ones make a single monomial
+    # dominate every row (singular Jacobians) or overflow the iteration
+    log_coord = st.one_of(st.floats(-15, 15), st.sampled_from([-700.0, 650.0, 709.0]))
+    seeds = draw(st.lists(st.lists(log_coord, min_size=d, max_size=d).map(np.exp),
+                          min_size=1, max_size=10))
+    seeds += [np.full(d, np.inf), np.zeros(d)]
+    return DeformedSystem(cfg, C, h, t), seeds
+
+
+@settings(max_examples=60)
+@given(systems_and_seeds())
+def test_stacked_newton_matches_one_seed_at_a_time(case):
+    system, seeds = case
+    basins = ["seed %d" % i for i in range(len(seeds))]
+    with np.errstate(all="ignore"):
+        together = newton_solve_many(system, seeds, basins)
+        for seed, basin, root in zip(seeds, basins, together):
+            assert same_root(root, newton_solve_many(system, [seed], [basin])[0])
+            assert same_root(root, reference_newton(system, seed, basin))
+
+
+def test_stacked_evaluation_marks_failed_points():
+    cfg = PointConfiguration([(0,), (1,), (2,)])
+    system = DeformedSystem(cfg, [[-2, 1, 0]], [0, 0, 0], 1.0)
+    u = np.array([[0.0], [np.inf], [1.0]])
+    with np.errstate(invalid="ignore"):
+        f, J = system.residual_jacobian(u)
+        res = system.residual(u)
+    assert np.isnan(f[1]).all() and np.isnan(J[1]).all() and np.isnan(res[1])
+    for k in (0, 2):
+        f1, J1 = system.residual_jacobian(u[k])
+        assert f1.tobytes() == f[k].tobytes() and J1.tobytes() == J[k].tobytes()
+        assert system.residual(u[k]) == res[k]
+
+
+def test_lattice_seeds_first_coordinate_fastest():
+    seeds = witness._lattice_seeds(2, random.Random(0))
+    assert len(seeds) == 25
+    pinned = {
+        0: [1.0713123264686784e-06, 1.0529448741933434e-06],
+        1: [0.0009842398281481603, 9.529273130654804e-07],
+        2: [1.0022574885726185, 9.811664377330515e-07],
+        5: [1.0850462111846701e-06, 0.0010009378106331322],
+        24: [949066.1154273698, 1098019.4424259497],
+    }
+    for i, x in pinned.items():
+        assert seeds[i].tolist() == x
+    plain = witness._lattice_seeds(2, None)
+    assert plain[1].tolist() == pytest.approx([1e-3, 1e-6])
+    assert plain[5].tolist() == pytest.approx([1e-6, 1e-3])
+
+
 def test_no_roots_when_coefficients_share_a_sign():
     cfg = PointConfiguration([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
     C = [[1, 2, 1, 1, 3], [2, 1, 1, 4, 1]]
-    system = deformed_system(cfg, C, [0] * 5, 0.5)
+    system = DeformedSystem(cfg, C, [0] * 5, 0.5)
     assert count_positive_roots(system) == []
 
 
 def hk_system_and_family(t=2.0 ** -7):
     _, _, region = hk_region()
     family = find_decorated(region.cfg, region.C).best
-    system = deformed_system(
+    system = DeformedSystem(
         region.cfg, region.C, [float(v) for v in family.height], t
     )
     return region, system, family
@@ -154,7 +279,7 @@ def test_exclusion_confirms_root_count():
 def test_exclusion_rejects_other_dimensions():
     net, part = phosphorylation(2)
     region = assemble_region_system(net, part, phospho_kappa(2), [1, 1, 3])
-    system = deformed_system(region.cfg, region.C, [0] * region.cfg.n, 0.5)
+    system = DeformedSystem(region.cfg, region.C, [0] * region.cfg.n, 0.5)
     with pytest.raises(ValueError):
         validate_root_set(system, [])
 
@@ -178,7 +303,7 @@ def test_scaled_system_roots_map_across():
             float(c) * alpha[0] * alpha[1] ** a[0] * alpha[2] ** a[1]
             for c, a in zip(row, region.cfg.points)
         ])
-    scaled = deformed_system(region.cfg, Cs, h, t)
+    scaled = DeformedSystem(region.cfg, Cs, h, t)
     for r in roots:
         mapped = r.x / np.array(alpha[1:])
         again = newton_solve(scaled, mapped)
