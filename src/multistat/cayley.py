@@ -169,4 +169,4 @@ def mixed_positive_solution(cay, coeffs, simplex):
 
 def mixed_joint_cone(cay, simplices):
     """Heights on the Cayley points selecting every mixed simplex at once."""
-    return pts_mod.mixed_joint_cone(cay.matrix, simplices, cay.n)
+    return pts_mod.joint_cone(cay, simplices)

@@ -65,9 +65,7 @@ def _load_network(args):
     elif args.network:
         try:
             net, partition, totals_named = networks.parse_network_file(args.network)
-        except OSError as e:
-            raise CliError(str(e), EXIT_PARSE)
-        except ParseError as e:
+        except (OSError, ParseError) as e:
             raise CliError(str(e), EXIT_PARSE)
     else:
         raise CliError("need a network file or --builtin", EXIT_PARSE)

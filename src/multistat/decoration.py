@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from . import points as pts_mod
@@ -29,6 +28,7 @@ __all__ = [
     "spanning_kernel_vector",
     "is_decorated",
     "find_decorated",
+    "grow_families",
     "DecoratedFamily",
     "DecorationReport",
     "restricted_positive_solution",
@@ -124,15 +124,60 @@ class DecorationReport:
         return max(self.families, key=lambda f: len(f.simplices)) if self.families else None
 
 
+def _opposed(family, new):
+    """Whether some normal in ``new`` has its negative in ``family``: a
+    Gordan vector with support 2, so the joint cone is empty."""
+    return any(tuple(-x for x in m) in family for m in new)
+
+
+def _sum_interior(normals, total):
+    """Whether ``total`` is an interior point of the cone of ``normals``."""
+    return all(sum(a * b for a, b in zip(m, total)) > 0 for m in normals)
+
+
+def grow_families(decorated, normals, feasible):
+    """Greedy jointly realizable families: each simplex of ``decorated``
+    seeds one, and the others join in order while the joint cone stays
+    nonempty.  ``normals[s]`` are the cone normals of ``s``.  A check first
+    tries two exact certificates on the distinct primitive normals: an
+    opposed pair rejects (:func:`_opposed`), an interior sum accepts
+    (:func:`_sum_interior`); otherwise the LP ``feasible`` decides.
+    Returns the distinct families in seed order, each in growth order."""
+    prim = {s: [tuple(int(x) for x in ratlin.primitive(m)) for m in normals[s]]
+            for s in decorated}
+    families = []
+    seen = set()
+    for seed in decorated:
+        family = [seed]
+        joint = dict.fromkeys(prim[seed])
+        total = [sum(col) for col in zip(*joint)]
+        for s in decorated:
+            if s == seed:
+                continue
+            new = [m for m in prim[s] if m not in joint]
+            if _opposed(joint, new):
+                continue
+            cand = list(joint) + new
+            cand_total = [sum(col) for col in zip(total, *new)]
+            if _sum_interior(cand, cand_total) or feasible(cand) is not None:
+                family.append(s)
+                joint.update(dict.fromkeys(new))
+                total = cand_total
+        key = tuple(sorted(family))
+        if key not in seen:
+            seen.add(key)
+            families.append(family)
+    return families
+
+
 def find_decorated(cfg, C):
     """Enumerate decorated simplices of ``(cfg, C)`` and group them into
     jointly realizable families.
 
-    For each decorated simplex taken as a seed (in lexicographic order) the
-    family is grown greedily: remaining simplices are appended in
-    lexicographic order whenever the joint height cone stays nonempty
-    (checked by exact LP).  Duplicate families are merged; every family
-    carries a rational witness height.
+    Families are grown by :func:`grow_families` from each decorated simplex
+    in lexicographic order, every check decided exactly (integer
+    certificates, then the exact LP); each carries a rational witness
+    height from the exact LP on its joint cone.
     """
     decorated = []
     indeterminate = []
@@ -147,23 +192,11 @@ def find_decorated(cfg, C):
         for s1, s2 in combinations(decorated, 2)
         if pts_mod.shares_facet(cfg, s1, s2)
     ]
+    normals = {s: pts_mod.cone_normals(cfg.matrix, s) for s in decorated}
     families = []
-    seen = set()
-    for seed in decorated:
-        family = [seed]
-        for s in decorated:
-            if s == seed:
-                continue
-            cone = pts_mod.joint_cone(cfg, family + [s])
-            if cone.interior_point() is not None:
-                family.append(s)
-        key = tuple(sorted(family))
-        if key in seen:
-            continue
-        seen.add(key)
+    for family in grow_families(decorated, normals, ratlin.strict_feasible):
         cone = pts_mod.joint_cone(cfg, family)
-        h = cone.interior_point()
-        families.append(DecoratedFamily(sorted(family), h, cone))
+        families.append(DecoratedFamily(sorted(family), cone.interior_point(), cone))
     families.sort(key=lambda f: (-len(f.simplices), f.simplices))
     return DecorationReport(decorated, facet_pairs, families, indeterminate)
 

@@ -144,9 +144,6 @@ def validate_partition(net, partition):
             if blocks[s] == 0 and cplx not in intermediate:
                 violations.append("intermediate species %r inside core complex %r" % (s, cplx))
     # every intermediate complex has a core input and a core output
-    rev = {}
-    for r in net.reactions:
-        rev.setdefault(r.target, []).append(r.source)
     for u in intermediate:
         reach = _reaches_through(adj, intermediate, u)
         if not (reach & core):
@@ -409,7 +406,6 @@ def s_toric_check(net, partition, kappa=None):
     parametrization; the quotient condition (iii) is machine-verified only
     in the unique-simple-path regime."""
     out = {"valid_partition": not validate_partition(net, partition)}
-    intermediate, core, _ = classify_complexes(net, partition)
     try:
         intermediate_coefficients(net, partition, kappa)
         out["unique_intermediate_sources"] = True
@@ -428,12 +424,10 @@ def s_toric_check(net, partition, kappa=None):
     wr = True
     usp = True
     for b, G in graphs.items():
-        multi = [n for n in G.nodes if G.degree(n) > 0] or list(G.nodes)
-        H = G.subgraph([n for n in G.nodes])
-        if len(H) > 1 and H.number_of_edges() > 0:
-            if not nx.is_strongly_connected(H):
+        if len(G) > 1 and G.number_of_edges() > 0:
+            if not nx.is_strongly_connected(G):
                 wr = False
-            if not _unique_simple_paths(H):
+            if not _unique_simple_paths(G):
                 usp = False
     out["weakly_reversible"] = wr
     out["unique_simple_paths"] = usp
@@ -740,7 +734,6 @@ def messi_conservation(net, partition):
     of the stoichiometric matrix."""
     blocks = _block_index(net, partition)
     intermediate, core, _ = classify_complexes(net, partition)
-    adj = _complex_graph(net)
     feeds = {}
     for u, sp in intermediate.items():
         feeds[sp] = set()

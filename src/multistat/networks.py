@@ -25,7 +25,7 @@ A plain-text file format is supported::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
@@ -55,12 +55,6 @@ class Reaction:
     target: tuple
     rate_name: str
     rate: object = None  # Fraction or float or None
-
-    def source_dict(self):
-        return dict(self.source)
-
-    def target_dict(self):
-        return dict(self.target)
 
 
 def _complex_key(cdict):

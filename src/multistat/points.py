@@ -21,7 +21,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import ratlin
-from .ratlin import Fraction as _F  # noqa: F401
 
 __all__ = [
     "PointConfiguration",
@@ -221,19 +220,13 @@ def _dedupe(normals):
 
 def joint_cone(cfg, simplices):
     """Cone of heights selecting every simplex of the family at once;
-    duplicate inequalities (up to positive scaling) are removed."""
+    duplicate inequalities (up to positive scaling) are removed.  Only
+    ``cfg.matrix`` and ``cfg.n`` are read, so a Cayley configuration works
+    as well as a point configuration."""
     normals = []
     for s in simplices:
         normals.extend(cone_normals(cfg.matrix, s))
     return ConeDescription(_dedupe(normals), cfg.n)
-
-
-def mixed_joint_cone(matrix, simplices, dim):
-    """Joint cone for simplices of an arbitrary full-row-rank matrix."""
-    normals = []
-    for s in simplices:
-        normals.extend(cone_normals(matrix, s))
-    return ConeDescription(_dedupe(normals), dim)
 
 
 def _interpolator(cfg, cell, heights):
@@ -254,7 +247,6 @@ def extend_height(cfg, s1, s2, jitter=Fraction(1, 1009)):
     """
     if not shares_facet(cfg, s1, s2):
         raise ValueError("simplices must share a facet")
-    B = sorted(set(s1) | set(s2))
     apex2 = (set(s2) - set(s1)).pop()
     h = [None] * cfg.n
     for j in s1:

@@ -16,7 +16,6 @@ point enters any computation.  The module provides
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 __all__ = [
     "frac_matrix",
@@ -275,9 +274,7 @@ def strict_feasible(normals, zero_coords=()):
     """
     normals = [list(m) for m in normals]
     if not normals:
-        n = 0
-        h = []
-        return h
+        return []
     n = len(normals[0])
     zero = set(zero_coords)
     free = [i for i in range(n) if i not in zero]
@@ -326,19 +323,18 @@ def strict_feasible(normals, zero_coords=()):
 def strict_feasible_fast(normals, zero_coords=()):
     """Float-accelerated version of :func:`strict_feasible`.
 
-    A double-precision solver proposes an interior point which is then
-    rationalized and re-verified exactly, so a returned point is always
-    correct.  A clearly infeasible float optimum is trusted without an
-    exact certificate (marginal cones may be reported empty); callers that
-    need a rejection certificate must use :func:`strict_feasible`.
+    HiGHS solves the same slack LP in double precision.  A proposed
+    interior point is rationalized and re-verified exactly.  A proposed
+    rejection stands only with an exact Gordan certificate: on the support
+    of the LP duals, some ``y >= 0``, ``y != 0`` has ``sum y_r m_r = 0`` on
+    the free coordinates.  Whenever a check fails, :func:`strict_feasible`
+    decides, so both answers are always correct.
     """
+    from scipy.optimize import linprog
+
     normals = [list(m) for m in normals]
     if not normals:
         return []
-    try:
-        from scipy.optimize import linprog
-    except ImportError:
-        return strict_feasible(normals, zero_coords)
     n = len(normals[0])
     zero = set(zero_coords)
     # variables h_1..h_n, s; maximize s with <m, h> >= s, |h| <= 1, s <= 1
@@ -348,14 +344,33 @@ def strict_feasible_fast(normals, zero_coords=()):
     bounds.append((0.0, 1.0))
     c = [0.0] * n + [-1.0]
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success or res.x[n] <= 1e-7:
+    if res.success and res.x[n] > 1e-7:
+        h = [Fraction(v).limit_denominator(10**6) for v in res.x[:n]]
+        for i in zero:
+            h[i] = Fraction(0)
+        if all(sum(Fraction(a) * hh for a, hh in zip(m, h)) > 0 for m in normals):
+            return h
+    elif res.success and _gordan_certified(
+            normals, -res.ineqlin.marginals, [i for i in range(n) if i not in zero]):
         return None
-    h = [Fraction(v).limit_denominator(10**6) for v in res.x[:n]]
-    for i in zero:
-        h[i] = Fraction(0)
-    if all(sum(Fraction(a) * hh for a, hh in zip(m, h)) > 0 for m in normals):
-        return h
     return strict_feasible(normals, zero_coords)
+
+
+def _gordan_certified(normals, y, free):
+    """Exact check of a float Gordan vector ``y``: whether some ``y' >= 0``,
+    ``y' != 0`` supported where ``y`` is positive has ``sum y'_r m_r = 0``
+    on the coordinates ``free``."""
+    tol = 1e-9 * max(y)
+    support = [r for r, v in enumerate(y) if v > tol]
+    ker = kernel_basis([[normals[r][i] for r in support] for i in free])
+    if len(ker) == 1:
+        return all(x >= 0 for x in ker[0]) or all(x <= 0 for x in ker[0])
+    if not ker:
+        return False
+    # y' = sum_k c_k ker_k with y' >= 0 and sum y' >= 1
+    A = [[v[j] for v in ker] for j in range(len(support))]
+    A.append([sum(v) for v in ker])
+    return lp_feasible(A, [0] * len(support) + [1]) is not None
 
 
 def cone_contains(normals, extra):

@@ -7,6 +7,7 @@ numbers with 17 significant digits, so reports round-trip bit-exactly.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -60,8 +61,6 @@ def _emit(obj, out, indent, level):
         else:
             out.append("%.17g" % v)
     elif isinstance(obj, str):
-        import json
-
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
         if not obj:
@@ -70,8 +69,6 @@ def _emit(obj, out, indent, level):
         out.append("{\n")
         items = list(obj.items())
         for i, (k, v) in enumerate(items):
-            import json
-
             out.append(pad_in + json.dumps(str(k)) + ": ")
             _emit(v, out, indent, level + 1)
             out.append(",\n" if i + 1 < len(items) else "\n")

@@ -548,46 +548,24 @@ def mixed_decoration(cfg, C):
     """Cayley view of a square system: block ``i`` holds the support of
     equation ``i``; mixed simplices pick two points per block and are
     decorated when the picked coefficients have opposite signs."""
-    blocks = []
-    coeffs = []
-    columns = []
+    blocks, coeffs, columns = [], [], []
     for row in C:
-        block = []
-        cs = []
-        for j, c in enumerate(row):
-            if float(c) != 0.0:
-                block.append(cfg.points[j])
-                cs.append(c)
-                columns.append(j)
-        blocks.append(block)
-        coeffs.append(cs)
+        support = [j for j, c in enumerate(row) if float(c) != 0.0]
+        blocks.append([cfg.points[j] for j in support])
+        coeffs.append([row[j] for j in support])
+        columns.extend(support)
     cay = cayley.cayley_configuration(blocks)
     mixed = cayley.enumerate_mixed_simplices(cay)
     decorated = [s for s in mixed if cayley.is_mixed_decorated(cay, coeffs, s)]
-    # per-simplex cone normals cached; growth feasibility uses the float
-    # solver with exact re-verification of any accepted height
     normals = {s: points_mod.cone_normals(cay.matrix, s) for s in decorated}
     families = []
-    seen = set()
-    for seed in decorated:
-        family = [seed]
-        for s in decorated:
-            if s == seed:
-                continue
-            joint = []
-            for f in family + [s]:
-                joint.extend(normals[f])
-            if ratlin.strict_feasible_fast(joint) is not None:
-                family.append(s)
-        key = tuple(sorted(family))
-        if key in seen:
-            continue
-        seen.add(key)
-        cone = cayley.mixed_joint_cone(cay, sorted(family))
+    for family in decoration.grow_families(decorated, normals, ratlin.strict_feasible_fast):
+        family = sorted(family)
+        cone = cayley.mixed_joint_cone(cay, family)
         h = ratlin.strict_feasible_fast(cone.normals)
         if h is None:
-            continue
-        families.append(MixedFamily(sorted(family), h, cone))
+            raise ratlin.LPError("no height for the certified mixed family %s" % (family,))
+        families.append(MixedFamily(family, h, cone))
     families.sort(key=lambda f: (-len(f.simplices), f.simplices))
     return MixedDecorationReport(cay, coeffs, columns, mixed, decorated, families)
 

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multistat import ratlin
+from multistat.decoration import _opposed, _sum_interior
 
 
 def cofactor_det(rows):
@@ -119,6 +122,100 @@ def test_strict_feasible_matches_fourier_motzkin():
         lp = ratlin.strict_feasible(normals) is not None
         fm = ratlin.fourier_motzkin_feasible(normals)
         assert lp == fm, (normals, lp, fm)
+
+
+@st.composite
+def small_cones(draw):
+    """Up to 7 integer normals in at most 5 variables, entries in [-3, 3]."""
+    n = draw(st.integers(1, 5))
+    vec = st.tuples(*[st.integers(-3, 3)] * n)
+    normals = draw(st.lists(vec, min_size=1, max_size=7))
+    # negated multiples of some normals, so that opposed pairs are common
+    picks = draw(st.lists(st.sampled_from(normals), max_size=7 - len(normals)))
+    normals += [tuple(-2 * x for x in m) for m in picks]
+    return draw(st.permutations(normals)), draw(st.integers(0, 7))
+
+
+@settings(max_examples=300)
+@given(small_cones())
+def test_growth_tiers_and_fast_lp_agree_with_fourier_motzkin(cone):
+    normals, split = cone
+    fm = ratlin.fourier_motzkin_feasible(normals)
+    prim = list(dict.fromkeys(tuple(int(x) for x in ratlin.primitive(m)) for m in normals))
+    family = dict.fromkeys(prim[:split])
+    new = [m for m in prim[split:] if m not in family]
+    if _opposed(family, new):
+        assert not fm
+    if _sum_interior(prim, [sum(col) for col in zip(*prim)]):
+        assert fm
+    h = ratlin.strict_feasible_fast(normals)
+    assert (h is not None) == fm
+    if h is not None:
+        assert all(sum(a * x for a, x in zip(m, h)) > 0 for m in normals)
+
+
+def test_growth_tiers_decide_known_cones():
+    assert _opposed({(1, 0): None, (0, 1): None}, [(-1, 0)])
+    assert not _opposed({(1, 0): None}, [(0, -1)])
+    assert _sum_interior([(1, 0), (0, 1)], [1, 1])
+    # feasible (h = (1, -1/2) works) but the sum (2, 0) is not interior
+    assert not _sum_interior([(1, 0), (0, -1), (1, 1)], [2, 0])
+
+
+def _fake_linprog(n, marginals):
+    """A HiGHS stand-in reporting an optimal slack of 0 with the given duals."""
+    import numpy as np
+
+    res = SimpleNamespace(success=True, x=[0.0] * (n + 1),
+                          ineqlin=SimpleNamespace(marginals=np.array(marginals)))
+    return lambda *args, **kwargs: res
+
+
+def _spy_exact(monkeypatch):
+    calls = []
+    exact = ratlin.strict_feasible
+
+    def spy(normals, zero_coords=()):
+        calls.append(normals)
+        return exact(normals, zero_coords)
+
+    monkeypatch.setattr(ratlin, "strict_feasible", spy)
+    return calls
+
+
+def test_fast_lp_unverified_rejection_falls_back_to_exact(monkeypatch):
+    import scipy.optimize
+
+    calls = _spy_exact(monkeypatch)
+    # a float "infeasible" for a feasible cone: the duals certify nothing
+    monkeypatch.setattr(scipy.optimize, "linprog", _fake_linprog(2, [-1.0, 0.0]))
+    h = ratlin.strict_feasible_fast([(1, 0), (0, 1)])
+    assert len(calls) == 1
+    assert h is not None and h[0] > 0 and h[1] > 0
+    # duals whose support carries no Gordan vector are not trusted either
+    monkeypatch.setattr(scipy.optimize, "linprog", _fake_linprog(2, [-0.5, -0.5, 0.0]))
+    assert ratlin.strict_feasible_fast([(1, 0), (0, 1), (1, 1)]) is not None
+    assert len(calls) == 2
+
+
+def test_gordan_certificate_check():
+    # kernel of dimension 2 on the support: decided by the small exact LP
+    assert ratlin._gordan_certified([(1, 0), (-1, 0), (0, 1), (0, -1)], [1.0] * 4, [0, 1])
+    # kernel (1, 1, -1) is not one-signed; a trivial kernel certifies nothing
+    assert not ratlin._gordan_certified([(1, 0), (0, 1), (1, 1)], [1.0] * 3, [0, 1])
+    assert not ratlin._gordan_certified([(1, 0), (0, 1)], [1.0, 1.0], [0, 1])
+    # only the free coordinates must cancel; zero duals leave the support
+    assert ratlin._gordan_certified([(1, 5), (-1, 7), (0, 1)], [1.0, 1.0, 0.0], [0])
+    assert not ratlin._gordan_certified([(1, 5), (-1, 7), (0, 1)], [1.0, 0.0, 0.0], [0])
+
+
+def test_fast_lp_clean_dual_certificate_skips_exact(monkeypatch):
+    calls = _spy_exact(monkeypatch)
+    assert ratlin.strict_feasible_fast([(1, 0, 1), (-2, 0, -2), (0, 1, 0)]) is None
+    # support of size 3 in a plane: y = (1, 1, 1) for the three normals
+    assert ratlin.strict_feasible_fast([(1, 0), (-1, 1), (0, -1), (1, 1)]) is None
+    assert ratlin.strict_feasible_fast([(1, 0), (-1, 0)], zero_coords=[1]) is None
+    assert calls == []
 
 
 def test_lp_feasible():
