@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -74,7 +73,7 @@ def cayley_configuration(blocks):
     if len(set(lifted)) != len(lifted):
         raise ValueError("duplicate points within a block")
     n = len(lifted)
-    matrix = [[Fraction(p[r]) for p in lifted] for r in range(2 * d)]
+    matrix = [[p[r] for p in lifted] for r in range(2 * d)]
     cay = CayleyConfiguration(
         [list(map(tuple, b)) for b in blocks], lifted, matrix, offsets, d, n
     )
@@ -167,6 +166,7 @@ def mixed_positive_solution(cay, coeffs, simplex):
     return solve_binomial(M, beta)
 
 
-def mixed_joint_cone(cay, simplices):
-    """Heights on the Cayley points selecting every mixed simplex at once."""
-    return pts_mod.joint_cone(cay, simplices)
+def mixed_joint_cone(cay, simplices, normals=None):
+    """Heights on the Cayley points selecting every mixed simplex at once;
+    ``normals[s]``, when given, are the cone normals of ``s``."""
+    return pts_mod.joint_cone(cay, simplices, normals)

@@ -195,7 +195,7 @@ def find_decorated(cfg, C):
     normals = {s: pts_mod.cone_normals(cfg.matrix, s) for s in decorated}
     families = []
     for family in grow_families(decorated, normals, ratlin.strict_feasible):
-        cone = pts_mod.joint_cone(cfg, family)
+        cone = pts_mod.joint_cone(cfg, family, normals)
         families.append(DecoratedFamily(sorted(family), cone.interior_point(), cone))
     families.sort(key=lambda f: (-len(f.simplices), f.simplices))
     return DecorationReport(decorated, facet_pairs, families, indeterminate)

@@ -69,11 +69,7 @@ class PointConfiguration:
 
 def build_matrix(points):
     """The (d+1) x n matrix with an all-ones row atop point coordinates."""
-    d = len(points[0])
-    rows = [[Fraction(1)] * len(points)]
-    for k in range(d):
-        rows.append([Fraction(p[k]) for p in points])
-    return rows
+    return [[1] * len(points)] + [list(col) for col in zip(*points)]
 
 
 def enumerate_simplices(cfg):
@@ -91,7 +87,7 @@ def _facet_functional(cfg, facet):
     normalized to a primitive integer vector; None if the facet is
     degenerate."""
     # solve [1 a_j] . (b, w) = 0 for j in facet
-    rows = [[Fraction(1)] + [Fraction(x) for x in cfg.points[j]] for j in facet]
+    rows = [[1, *cfg.points[j]] for j in facet]
     ker = ratlin.kernel_basis(rows)
     if len(ker) != 1:
         return None
@@ -183,20 +179,19 @@ def cone_normals(matrix, simplex):
     n = len(matrix[0])
     if len(I) != r:
         raise ValueError("simplex must index r columns")
-    AI = [[Fraction(matrix[a][j]) for j in I] for a in range(r)]
+    AI = [[matrix[a][j] for j in I] for a in range(r)]
     dI = ratlin.determinant(AI)
     if dI == 0:
         raise ValueError("degenerate simplex")
+    # one elimination solves A_I x = -d_I a_i for every i outside I
+    out = [i for i in range(n) if i not in I]
+    R, _ = ratlin.rref([AI[a] + [-dI * matrix[a][i] for i in out] for a in range(r)])
     normals = []
-    for i in range(n):
-        if i in I:
-            continue
-        rhs = [-dI * Fraction(matrix[a][i]) for a in range(r)]
-        coeffs = ratlin.solve(AI, rhs)
+    for t, i in enumerate(out):
         m = [Fraction(0)] * n
         m[i] = dI
         for k, j in enumerate(I):
-            m[j] = coeffs[k]
+            m[j] = R[k][r + t]
         normals.append(tuple(dI * x for x in m))
     return normals
 
@@ -218,23 +213,24 @@ def _dedupe(normals):
     return seen
 
 
-def joint_cone(cfg, simplices):
+def joint_cone(cfg, simplices, normals=None):
     """Cone of heights selecting every simplex of the family at once;
     duplicate inequalities (up to positive scaling) are removed.  Only
     ``cfg.matrix`` and ``cfg.n`` are read, so a Cayley configuration works
-    as well as a point configuration."""
-    normals = []
+    as well as a point configuration.  ``normals[s]``, when given, are the
+    already computed cone normals of ``s``."""
+    joint = []
     for s in simplices:
-        normals.extend(cone_normals(cfg.matrix, s))
-    return ConeDescription(_dedupe(normals), cfg.n)
+        joint.extend(cone_normals(cfg.matrix, s) if normals is None else normals[s])
+    return ConeDescription(_dedupe(joint), cfg.n)
 
 
 def _interpolator(cfg, cell, heights):
     """Affine function (b, w) with b + <w, a_j> = h_j on d+1 independent
     points of ``cell``."""
     pts = list(cell)[: cfg.d + 1]
-    rows = [[Fraction(1)] + [Fraction(x) for x in cfg.points[j]] for j in pts]
-    return ratlin.solve(rows, [Fraction(heights[j]) for j in pts])
+    rows = [[1, *cfg.points[j]] for j in pts]
+    return ratlin.solve(rows, [heights[j] for j in pts])
 
 
 def extend_height(cfg, s1, s2, jitter=Fraction(1, 1009)):

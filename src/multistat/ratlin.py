@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of lists of :class:`fractions.Fraction` (integer
-entries are accepted and coerced).  Everything here is exact: no floating
-point enters any computation.  The module provides
+Inputs are matrices given as lists of lists of rationals (``int`` or
+:class:`fractions.Fraction`); results are Fractions.  Internally every row
+is scaled once to integers and eliminated fraction-free, each update
+``p * row - f * pivot_row`` divided by the gcd of its entries, so only
+``int`` arithmetic runs and every sign and ratio is the exact one.  The
+module provides
 
 * reduced row echelon form, rank, kernel bases and linear solves,
 * determinants by fraction-free (Bareiss) elimination,
@@ -16,9 +19,9 @@ point enters any computation.  The module provides
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
-    "frac_matrix",
     "rref",
     "rank",
     "kernel_basis",
@@ -37,9 +40,56 @@ class LPError(ValueError):
     pass
 
 
-def frac_matrix(rows):
-    """Copy ``rows`` into a list-of-lists of Fractions."""
-    return [[Fraction(x) for x in row] for row in rows]
+def _scaled(values):
+    """``values`` times the lcm of their denominators: ``(ints, lcm)``."""
+    q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    den = lcm(*[x.denominator for x in q])
+    return [x.numerator * (den // x.denominator) for x in q], den
+
+
+def _cancel(row, prow, col):
+    """``prow[col] * row - row[col] * prow`` divided by the gcd of its
+    entries: ``row`` with its ``col`` entry eliminated by ``prow``, times a
+    factor with the sign of ``prow[col]``."""
+    p, f = prow[col], row[col]
+    out = [p * a - f * b for a, b in zip(row, prow)]
+    g = gcd(*out)
+    return out if g <= 1 else [x // g for x in out]
+
+
+def _pivot(T, row, col):
+    """Make ``T[row][col]`` positive, negating the row if needed, and cancel
+    column ``col`` in every other row of ``T``: each becomes a positive
+    multiple of itself minus the matching multiple of the pivot row."""
+    if T[row][col] < 0:
+        T[row] = [-x for x in T[row]]
+    for i in range(len(T)):
+        if i != row and T[i][col] != 0:
+            T[i] = _cancel(T[i], T[row], col)
+
+
+def _echelon(rows):
+    """Reduced row echelon form with leftmost pivots, on integer rows.
+
+    Returns ``(R, pivots)``: the true reduced row ``i`` is ``R[i]`` divided
+    by its pivot entry ``R[i][pivots[i]] > 0``; rows past the pivots are
+    zero.
+    """
+    m = [_scaled(row)[0] for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        _pivot(m, r, c)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
 
 
 def rref(rows):
@@ -48,32 +98,13 @@ def rref(rows):
     Returns ``(R, pivots)`` where ``pivots`` lists the pivot column of each
     nonzero row, in order.
     """
-    m = frac_matrix(rows)
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    m, pivots = _echelon(rows)
+    dens = [m[i][p] for i, p in enumerate(pivots)] + [1] * (len(m) - len(pivots))
+    return [[Fraction(x, d) for x in row] for row, d in zip(m, dens)], pivots
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 def kernel_basis(rows):
@@ -87,14 +118,14 @@ def kernel_basis(rows):
     if not rows:
         return []
     ncols = len(rows[0])
-    R, pivots = rref(rows)
+    R, pivots = _echelon(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -R[i][f]
+            v[p] = Fraction(-R[i][f], R[i][p])
         basis.append(v)
     return basis
 
@@ -102,21 +133,25 @@ def kernel_basis(rows):
 def solve(rows, rhs):
     """Solve ``rows @ x = rhs`` for square nonsingular ``rows``."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    R, pivots = rref(aug)
+    R, pivots = _echelon([list(row) + [rhs[i]] for i, row in enumerate(rows)])
     if pivots != list(range(n)):
         raise LPError("singular system")
-    return [R[i][n] for i in range(n)]
+    return [Fraction(R[i][n], R[i][i]) for i in range(n)]
 
 
 def determinant(rows):
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant by fraction-free (Bareiss) elimination on the rows
+    scaled to integers."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    m = frac_matrix(rows)
+    m, scale = [], 1
+    for row in rows:
+        ints, den = _scaled(row)
+        m.append(ints)
+        scale *= den
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
@@ -124,12 +159,13 @@ def determinant(rows):
                 return Fraction(0)
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
+        pk, a = m[k], m[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            b = m[i][k]
+            m[i] = [0] * (k + 1) + [(a * x - b * y) // prev
+                                    for x, y in zip(m[i][k + 1:], pk[k + 1:])]
+        prev = a
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def minor(rows, drop_col):
@@ -140,34 +176,21 @@ def minor(rows, drop_col):
 def primitive(vec):
     """Scale a rational vector by a positive factor to a primitive integer
     vector (entries coprime).  The zero vector is returned unchanged."""
-    from math import gcd
-
-    v = [Fraction(x) for x in vec]
-    if all(x == 0 for x in v):
-        return tuple(v)
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(Fraction(x, g) for x in ints)
+    ints, _ = _scaled(vec)
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(Fraction(x) for x in vec)
+    return tuple(Fraction(x // g) for x in ints)
 
 
 # ---------------------------------------------------------------------------
 # Exact simplex method
 # ---------------------------------------------------------------------------
-
-def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    T[row] = [x / piv for x in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [a - f * b for a, b in zip(T[i], T[row])]
-    basis[row] = col
-
+#
+# Tableau rows are integer lists, each a positive multiple of the true row:
+# a basic row ``i`` is the true row times ``T[i][basis[i]] > 0``.  Positive
+# scaling keeps every sign and every ratio within a row, so Bland's rule
+# makes exactly the pivots of the rational tableau.
 
 def _simplex_phase(T, basis, ncols):
     """Run Bland's-rule simplex on tableau T (last row = objective,
@@ -181,64 +204,66 @@ def _simplex_phase(T, basis, ncols):
         best = None
         for i in range(m):
             if T[i][col] > 0:
-                ratio = T[i][ncols] / T[i][col]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
+                if best is None:
+                    best = i
+                    continue
+                # rhs_i / a_i < rhs_b / a_b with a_i, a_b > 0
+                lhs = T[i][ncols] * T[best][col]
+                rhs = T[best][ncols] * T[i][col]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best = i
         if best is None:
             return "unbounded"
-        _pivot(T, basis, best[1], col)
+        _pivot(T, best, col)
+        basis[best] = col
 
 
 def solve_standard_lp(A, b, c):
     """Exact LP: minimize c.x subject to A x = b, x >= 0.
 
     Returns ``(status, x, objective)`` with status one of ``"optimal"``,
-    ``"infeasible"``, ``"unbounded"``.
+    ``"infeasible"``, ``"unbounded"``; ``x`` and the objective are
+    Fractions.
     """
-    A = frac_matrix(A)
-    b = [Fraction(x) for x in b]
-    c = [Fraction(x) for x in c]
     m, n = len(A), len(c)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-    # phase 1: artificials
+    # phase 1: row i is A_i x + a_i = b_i, scaled as a whole to integers,
+    # with A_i and b_i negated when b_i < 0 (the artificial a_i is not)
     T = []
     for i in range(m):
-        T.append(A[i] + [Fraction(int(j == i)) for j in range(m)] + [b[i]])
-    obj = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-    T.append(obj)
-    basis = [n + i for i in range(m)]
+        row, _ = _scaled(list(A[i]) + [int(j == i) for j in range(m)] + [b[i]])
+        if row[-1] < 0:
+            row = [-x if j < n or j == n + m else x for j, x in enumerate(row)]
+        T.append(row)
+    obj = [0] * n + [1] * m + [0]
     # price out artificials
     for i in range(m):
-        T[m] = [a - bb for a, bb in zip(T[m], T[i])]
-    status = _simplex_phase(T, basis, n + m)
-    if -T[m][n + m] > 0:  # positive phase-1 optimum
+        obj = _cancel(obj, T[i], n + i)
+    T.append(obj)
+    basis = [n + i for i in range(m)]
+    _simplex_phase(T, basis, n + m)
+    if T[m][n + m] < 0:  # positive phase-1 optimum
         return "infeasible", None, None
     # drive remaining artificials out of the basis
     for i in range(m):
         if basis[i] >= n:
             col = next((j for j in range(n) if T[i][j] != 0), None)
             if col is not None:
-                _pivot(T, basis, i, col)
+                _pivot(T, i, col)
+                basis[i] = col
     keep = [i for i in range(m) if basis[i] < n]
-    T = [[T[i][j] for j in range(n)] + [T[i][n + m]] for i in keep]
+    T = [T[i][:n] + [T[i][n + m]] for i in keep]
     basis = [basis[i] for i in keep]
-    m2 = len(T)
-    obj = c + [Fraction(0)]
+    obj = _scaled(c)[0] + [0]
+    for i in range(len(T)):
+        if obj[basis[i]] != 0:
+            obj = _cancel(obj, T[i], basis[i])
     T.append(obj)
-    for i in range(m2):
-        f = T[m2][basis[i]]
-        if f != 0:
-            T[m2] = [a - f * bb for a, bb in zip(T[m2], T[i])]
-    status = _simplex_phase(T, basis, n)
-    if status == "unbounded":
+    if _simplex_phase(T, basis, n) == "unbounded":
         return "unbounded", None, None
     x = [Fraction(0)] * n
-    for i in range(m2):
-        x[basis[i]] = T[i][n]
-    return "optimal", x, -T[m2][n]
+    for i, j in enumerate(basis):
+        x[j] = Fraction(T[i][n], T[i][j])
+    return "optimal", x, sum((cj * xj for cj, xj in zip(c, x)), Fraction(0))
 
 
 def lp_feasible(A_ge, b_ge):
@@ -253,11 +278,10 @@ def lp_feasible(A_ge, b_ge):
     # x = u - w, u,w >= 0; A(u-w) - s = b, s >= 0 surplus
     A = []
     for i, row in enumerate(A_ge):
-        r = [Fraction(x) for x in row]
-        surplus = [Fraction(0)] * m
-        surplus[i] = Fraction(-1)
-        A.append(r + [-x for x in r] + surplus)
-    c = [Fraction(0)] * (2 * n + m)
+        surplus = [0] * m
+        surplus[i] = -1
+        A.append(list(row) + [-x for x in row] + surplus)
+    c = [0] * (2 * n + m)
     status, x, _ = solve_standard_lp(A, b_ge, c)
     if status != "optimal":
         return None
@@ -285,26 +309,26 @@ def strict_feasible(normals, zero_coords=()):
     nvars = nf + 1 + nm + nf + 1
     A, b = [], []
     for r, mvec in enumerate(normals):
-        row = [Fraction(0)] * nvars
+        row = [0] * nvars
         for k, i in enumerate(free):
-            row[k] = Fraction(mvec[i])
-        row[nf] = Fraction(-1)  # -s
-        row[nf + 1 + r] = Fraction(-1)  # surplus
+            row[k] = mvec[i]
+        row[nf] = -1  # -s
+        row[nf + 1 + r] = -1  # surplus
         A.append(row)
-        b.append(sum(Fraction(mvec[i]) for i in free))  # <m, 1>
+        b.append(sum(mvec[i] for i in free))  # <m, 1>
     for k in range(nf):
-        row = [Fraction(0)] * nvars
-        row[k] = Fraction(1)
-        row[nf + 1 + nm + k] = Fraction(1)
+        row = [0] * nvars
+        row[k] = 1
+        row[nf + 1 + nm + k] = 1
         A.append(row)
-        b.append(Fraction(2))
-    row = [Fraction(0)] * nvars
-    row[nf] = Fraction(1)
-    row[nvars - 1] = Fraction(1)
+        b.append(2)
+    row = [0] * nvars
+    row[nf] = 1
+    row[nvars - 1] = 1
     A.append(row)
-    b.append(Fraction(1))
-    c = [Fraction(0)] * nvars
-    c[nf] = Fraction(-1)  # maximize s
+    b.append(1)
+    c = [0] * nvars
+    c[nf] = -1  # maximize s
     status, x, objective = solve_standard_lp(A, b, c)
     if status != "optimal":
         raise LPError("slack LP failed: %s" % status)
@@ -380,10 +404,8 @@ def cone_contains(normals, extra):
     By homogeneity the cone is nonempty with slack 1, so the inequality is
     implied iff ``{<m_r, h> >= 1, <extra, h> <= 0}`` is infeasible.
     """
-    A = [[Fraction(x) for x in m] for m in normals]
-    b = [Fraction(1)] * len(normals)
-    A.append([-Fraction(x) for x in extra])
-    b.append(Fraction(0))
+    A = [list(m) for m in normals] + [[-x for x in extra]]
+    b = [1] * len(normals) + [0]
     return lp_feasible(A, b) is None
 
 

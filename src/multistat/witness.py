@@ -561,7 +561,7 @@ def mixed_decoration(cfg, C):
     families = []
     for family in decoration.grow_families(decorated, normals, ratlin.strict_feasible_fast):
         family = sorted(family)
-        cone = cayley.mixed_joint_cone(cay, family)
+        cone = cayley.mixed_joint_cone(cay, family, normals)
         h = ratlin.strict_feasible_fast(cone.normals)
         if h is None:
             raise ratlin.LPError("no height for the certified mixed family %s" % (family,))

@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,3 +126,65 @@ def test_exact_route_does_not_import_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# Families and exact heights of ``find_decorated``, recorded from the
+# Fraction-tableau LP; the exact LP must keep returning the same vertex.
+PINNED = {
+    "hk": [
+        ([(0, 1, 4), (0, 2, 3), (0, 3, 4)],
+         "-1/2 1 1 1/2 1"),
+        ([(0, 1, 2)],
+         "1 0 1 1 1"),
+    ],
+    "phospho:3": [
+        ([(0, 1, 2, 3), (0, 2, 3, 7), (0, 2, 6, 7)],
+         "0 1 -1 1 1 1 0 -1 1 1"),
+        ([(0, 1, 2, 3), (0, 2, 3, 7), (0, 2, 7, 8)],
+         "0 1 0 0 1 1 1 0 1 1"),
+        ([(0, 1, 2, 4)],
+         "1 1 1 1 0 1 1 1 1 1"),
+        ([(0, 1, 2, 6)],
+         "1 1 1 1 1 1 0 1 1 1"),
+        ([(0, 1, 2, 8)],
+         "1 0 1 1 1 1 1 1 1 1"),
+    ],
+    "phospho:5": [
+        ([(0, 1, 2, 3), (0, 2, 3, 7), (0, 2, 6, 7)],
+         "0 1 -1 1 1 1 0 -1 1 1 1 1 1 1"),
+        ([(0, 1, 2, 3), (0, 2, 3, 7), (0, 2, 7, 8)],
+         "1/2 1 -1/2 1 1 1 1 -1/2 5/8 1 1 1 1 1"),
+        ([(0, 1, 2, 3), (0, 2, 3, 7), (0, 2, 7, 10)],
+         "1/2 1 -1/2 1 1 1 1 -1/2 1 1 19/24 1 1 1"),
+        ([(0, 1, 2, 3), (0, 2, 3, 7), (0, 2, 7, 12)],
+         "0 1 0 0 1 1 1 0 1 1 1 1 1 1"),
+        ([(0, 1, 2, 4)],
+         "1 1 1 1 0 1 1 1 1 1 1 1 1 1"),
+        ([(0, 1, 2, 6)],
+         "1 1 1 1 1 1 0 1 1 1 1 1 1 1"),
+        ([(0, 1, 2, 8)],
+         "1 1 1 1 1 1 1 1 0 1 1 1 1 1"),
+        ([(0, 1, 2, 10)],
+         "1 1 1 1 1 1 1 1 1 1 0 1 1 1"),
+        ([(0, 1, 2, 12)],
+         "1 0 1 1 1 1 1 1 1 1 1 1 1 1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["hk", "phospho:3"])
+def test_pinned_families_and_heights(name):
+    r = region(name)
+    got = [(f.simplices, f.height) for f in find_decorated(r.cfg, r.C).families]
+    assert got == [(s, [Fraction(x) for x in h.split()]) for s, h in PINNED[name]]
+
+
+def test_phospho5_growth_time_gate():
+    r = region("phospho:5")
+    start = time.perf_counter()
+    report = find_decorated(r.cfg, r.C)
+    elapsed = time.perf_counter() - start
+    assert [(f.simplices, f.height) for f in report.families] == [
+        (s, [Fraction(x) for x in h.split()]) for s, h in PINNED["phospho:5"]]
+    assert len(report.families) == 9
+    assert elapsed < 5.0, elapsed
