@@ -7,9 +7,9 @@ Commands::
     multistat mixed-analyze  Cayley/mixed-simplex analysis of the system
     multistat subdivision  regular subdivisions of a point configuration
 
-Exit codes: 0 success, 2 malformed input, 3 structural-hypothesis
-failure, 4 witness search exhausted (inconclusive).  The environment
-variable ``MULTISTAT_SEED`` fixes the lattice-seed jitter.
+Exit codes: 0 success, 2 malformed input, 3 structural-hypothesis failure
+or a rate that is not positive and finite, 4 witness search exhausted
+(inconclusive).  ``MULTISTAT_SEED`` fixes the lattice-seed jitter.
 """
 
 from __future__ import annotations

@@ -25,9 +25,12 @@ scaling of that system into a rescaling of the rate constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
+from types import MappingProxyType
 
 import networkx as nx
 
@@ -45,6 +48,8 @@ __all__ = [
     "build_G2",
     "layer_sets",
     "s_toric_check",
+    "MessiModel",
+    "messi_model",
     "Parametrization",
     "steady_state_parametrization",
     "messi_conservation",
@@ -119,25 +124,124 @@ def _complex_graph(net):
 def _reaches_through(adj, intermediate, start):
     """All complexes reachable from ``start`` along paths whose interior
     nodes are intermediate complexes (start excluded from interior)."""
-    out = {}
     stack = [t for t, _ in adj.get(start, [])]
     seen = set()
     while stack:
         c = stack.pop()
-        if c in seen:
-            continue
-        seen.add(c)
-        out[c] = True
-        if c in intermediate:
-            stack.extend(t for t, _ in adj.get(c, []))
-    return set(out)
+        if c not in seen:
+            seen.add(c)
+            if c in intermediate:
+                stack.extend(t for t, _ in adj.get(c, []))
+    return seen
 
 
 def validate_partition(net, partition):
     """List of structural violations (empty iff the partition is valid)."""
+    return list(messi_model(net, partition).violations)
+
+
+@dataclass(frozen=True, eq=False)
+class MessiModel:
+    """The rate-independent structure of a network under one partition and
+    one choice of core species.  Built once per structure by
+    :func:`messi_model` and shared, so every field is read-only; the laws
+    and the rescale exponents are derived on first use."""
+
+    net: object  # snapshot of the species and reactions it was built from
+    partition: tuple
+    chosen: tuple
+    blocks: MappingProxyType  # species -> block index
+    intermediate: MappingProxyType  # intermediate complex -> its species
+    core: frozenset  # core complexes
+    sources: MappingProxyType  # intermediate complex -> its core sources
+    violations: tuple  # structural violations of the partition
+    reactant_cores: tuple  # core complexes that are reaction sources
+
+    @cached_property
+    def laws(self):
+        """The block conservation laws of :func:`messi_conservation`."""
+        net = self.net
+        N = net.stoichiometric_matrix()
+        laws = []
+        for b in range(1, len(self.partition)):
+            # the block's species and every intermediate it feeds
+            members = set(self.partition[b]) | {
+                sp for u, sp in self.intermediate.items()
+                if any(self.blocks[s] == b for y in self.sources[u] for s, _ in y)}
+            vec = tuple(Fraction(int(sp in members)) for sp in net.species)
+            if any(sum(v * row[j] for v, row in zip(vec, N)) for j in range(len(net.reactions))):
+                raise MessiError("block %d sum is not conserved" % b)
+            laws.append(vec)
+        if ratlin.rank(laws) != len(laws):
+            raise MessiError("conservation laws are dependent")
+        return tuple(laws)
+
+    @cached_property
+    def rescale_exponents(self):
+        """The reactant core complexes that scale every region-system
+        column by a power of their multiplier, and per monomial those
+        powers.  Measured once, exactly, by doubling all rates out of one
+        complex at a fixed generic rational kappa: the powers are
+        structural, the same at every positive kappa."""
+        rng = random.Random(20240917)
+        kappa = {r.rate_name: Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+                 for r in self.net.reactions}
+        totals = [1] * (len(self.partition) - 1)
+        base = assemble_region_system(self.net, self.partition, kappa, totals, self.chosen)
+        unit_cols = base.chosen_columns()
+        active = [j for j in range(base.cfg.n)
+                  if j != base.constant_column and j not in unit_cols]
+        probes, names = [], []
+        for y in self.reactant_cores:
+            doubled = {r.rate_name: kappa[r.rate_name] * 2
+                       for r in self.net.reactions if r.source == y}
+            scaled = assemble_region_system(
+                self.net, self.partition, {**kappa, **doubled}, totals, self.chosen)
+            if scaled.cfg.points != base.cfg.points:
+                continue
+            evec = {}
+            for j in active:
+                pairs = [(row[j], row2[j]) for row, row2 in zip(base.C, scaled.C)]
+                ratios = {c1 / c0 for c0, c1 in pairs if c0 != 0}
+                if any((c0 == 0) != (c1 == 0) for c0, c1 in pairs) or len(ratios) > 1:
+                    break
+                r = ratios.pop() if ratios else Fraction(1)
+                num, den = r.numerator, r.denominator
+                if (num & (num - 1)) or (den & (den - 1)):
+                    break  # not a power of 2
+                evec[j] = num.bit_length() - den.bit_length()
+            else:
+                probes.append(evec)
+                names.append(y)
+        return tuple(names), MappingProxyType(
+            {base.cfg.points[j]: tuple(p[j] for p in probes) for j in active})
+
+
+_MODELS = {}  # structural key -> MessiModel
+
+
+def messi_model(net, partition, chosen=None):
+    """The :class:`MessiModel` of ``net`` under ``partition`` and ``chosen``
+    (default :func:`default_chosen`), cached on the structure itself: the
+    reactions as (source, target, rate name), the species, the partition
+    and the chosen species."""
+    chosen = tuple(default_chosen(net, partition) if chosen is None else chosen)
+    key = (tuple((r.source, r.target, r.rate_name) for r in net.reactions),
+           tuple(net.species), tuple(map(tuple, partition)), chosen)
+    if key not in _MODELS:
+        _MODELS[key] = _build_model(
+            replace(net, species=tuple(net.species), reactions=tuple(net.reactions)),
+            key[2], chosen)
+    return _MODELS[key]
+
+
+def _build_model(net, partition, chosen):
+    """Classify the complexes and validate the partition."""
     blocks = _block_index(net, partition)
     intermediate, core, violations = classify_complexes(net, partition)
     adj = _complex_graph(net)
+    reach = {c: _reaches_through(adj, intermediate, c) for c in [*intermediate, *core]}
+    sources = {u: tuple(sorted(y for y in core if u in reach[y])) for u in intermediate}
     # block-0 species appear only in their own singleton complex
     for cplx in net.complexes():
         for s, _ in cplx:
@@ -145,33 +249,21 @@ def validate_partition(net, partition):
                 violations.append("intermediate species %r inside core complex %r" % (s, cplx))
     # every intermediate complex has a core input and a core output
     for u in intermediate:
-        reach = _reaches_through(adj, intermediate, u)
-        if not (reach & core):
+        if not (reach[u] & core):
             violations.append("intermediate %r has no core output" % (u,))
-        if not _core_sources(net, partition, u):
+        if not sources[u]:
             violations.append("intermediate %r has no core input" % (u,))
     # structural rules on core-to-core transitions (through intermediates)
     for y in core:
-        for y2 in _reaches_through(adj, intermediate, y) & core:
-            b1 = sorted(blocks[s] for s, _ in y)
-            b2 = sorted(blocks[s] for s, _ in y2)
+        for y2 in reach[y] & core:
             if len(y) != len(y2):
                 violations.append("core transition %r -> %r changes molecularity" % (y, y2))
-            elif b1 != b2:
+            elif sorted(blocks[s] for s, _ in y) != sorted(blocks[s] for s, _ in y2):
                 violations.append("core transition %r -> %r does not respect blocks" % (y, y2))
-    return violations
-
-
-def _core_sources(net, partition, u):
-    """Core complexes with a path to the intermediate complex ``u`` through
-    intermediates only."""
-    intermediate, core, _ = classify_complexes(net, partition)
-    adj = _complex_graph(net)
-    out = set()
-    for y in core:
-        if u in _reaches_through(adj, intermediate, y):
-            out.add(y)
-    return sorted(out)
+    return MessiModel(
+        net, partition, chosen, MappingProxyType(blocks), MappingProxyType(intermediate),
+        frozenset(core), MappingProxyType(sources), tuple(violations),
+        tuple(dict.fromkeys(r.source for r in net.reactions if r.source in core)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +325,7 @@ def enumerate_tree_sum(nodes, weights, root):
 def _collapsed_graph(net, partition, kappa):
     """Collapsed graph on intermediate species plus a star node ``"*"``;
     concentrations in core->intermediate labels are set to 1."""
-    intermediate, core, _ = classify_complexes(net, partition)
+    intermediate = messi_model(net, partition).intermediate
     rates = net.rates(kappa)
     weights = {}
 
@@ -255,17 +347,17 @@ def intermediate_coefficients(net, partition, kappa=None):
     """For each intermediate species the pair ``(mu, source)``: its steady
     value is ``mu * x^source`` with ``source`` the unique core complex
     feeding it through intermediates.  Raises when uniqueness fails."""
-    intermediate, core, _ = classify_complexes(net, partition)
+    model = messi_model(net, partition)
     nodes, weights = _collapsed_graph(net, partition, kappa)
     rho_star = tree_sum(nodes, weights, "*")
     if rho_star == 0:
         raise MessiError("intermediate linear system is singular")
     out = {}
-    for cplx, sp in intermediate.items():
-        sources = _core_sources(net, partition, cplx)
+    for cplx, sp in model.intermediate.items():
+        sources = model.sources[cplx]
         if len(sources) != 1:
             raise MessiError(
-                "intermediate %r needs a unique core source, found %r" % (sp, sources)
+                "intermediate %r needs a unique core source, found %r" % (sp, list(sources))
             )
         mu = tree_sum(nodes, weights, sp) / rho_star
         out[sp] = (mu, sources[0])
@@ -280,7 +372,8 @@ def build_G1(net, partition, kappa=None):
     """Digraph on core complexes; an edge carries the total transition rate
     ``tau = kappa_direct + sum_k kappa(U_k -> y') mu_k`` over intermediate
     channels."""
-    intermediate, core, _ = classify_complexes(net, partition)
+    model = messi_model(net, partition)
+    intermediate, core = model.intermediate, model.core
     rates = net.rates(kappa)
     mu = intermediate_coefficients(net, partition, kappa) if intermediate else {}
     edges = {}
@@ -324,7 +417,7 @@ def build_G2(net, partition, kappa=None):
     collapsing), ``GE`` (set of block-index pairs) and ``components``
     (species grouped by graph component restricted to each block).
     """
-    blocks = _block_index(net, partition)
+    blocks = messi_model(net, partition).blocks
     g1, g1sym = build_G1(net, partition, kappa)
     edges = []
     for (y, y2), tau in g1.items():
@@ -405,7 +498,7 @@ def s_toric_check(net, partition, kappa=None):
     """Check the structural conditions for a toric steady-state
     parametrization; the quotient condition (iii) is machine-verified only
     in the unique-simple-path regime."""
-    out = {"valid_partition": not validate_partition(net, partition)}
+    out = {"valid_partition": not messi_model(net, partition).violations}
     try:
         intermediate_coefficients(net, partition, kappa)
         out["unique_intermediate_sources"] = True
@@ -473,6 +566,7 @@ class Parametrization:
     route: str  # "monomial" or "substitution"
     mu: dict = field(default_factory=dict)
     symbols: dict = field(default_factory=dict)
+    rates: dict = None  # the rate constants it was derived at
 
     def evaluate(self, x):
         """Species values at chosen concentrations ``x`` (positive)."""
@@ -501,11 +595,11 @@ def default_chosen(net, partition):
         return named[net.name]
     if net.name.startswith("phosphorylation_"):
         return ("S0", "E", "F")
-    return tuple(partition[b][0] for b in range(1, len(partition)))
+    return tuple(partition[b][0] for b in range(1, len(partition)) if partition[b])
 
 
 def _check_chosen(net, partition, chosen):
-    blocks = _block_index(net, partition)
+    blocks = messi_model(net, partition).blocks
     if len(chosen) != len(partition) - 1:
         raise MessiError("need one chosen species per core block")
     seen = set()
@@ -522,9 +616,6 @@ def _monomial_route(net, partition, kappa, chosen):
     blocks = _check_chosen(net, partition, chosen)
     m = len(chosen)
     coord = {sp: i for i, sp in enumerate(chosen)}
-    violations = validate_partition(net, partition)
-    if violations:
-        raise MessiError("invalid partition", violations)
     g2 = build_G2(net, partition, kappa)
     if not g2["parallel_free"]:
         raise MessiError("association graph has parallel edges")
@@ -668,37 +759,37 @@ def steady_state_parametrization(net, partition, kappa=None, chosen=None, verify
     is used when its hypotheses hold; otherwise a sequential linear
     substitution is attempted.  The result is verified by substituting into
     the full mass-action system at a random positive rational point, which
-    must vanish identically.
+    must vanish identically.  Every rate constant must be positive and
+    finite.
     """
-    violations = validate_partition(net, partition)
-    if violations:
-        raise MessiError(
-            "invalid species partition: " + "; ".join(violations), violations
-        )
-    if chosen is None:
-        chosen = default_chosen(net, partition)
+    model = messi_model(net, partition, chosen)
+    if model.violations:
+        raise MessiError("invalid species partition: " + "; ".join(model.violations),
+                         list(model.violations))
+    chosen = model.chosen
+    rates = net.rates(kappa)
+    _positive_finite(rates.items(), "rate")
     errors = []
     param = None
     try:
-        param = _monomial_route(net, partition, kappa, chosen)
+        param = _monomial_route(net, partition, rates, chosen)
     except MessiError as e:
         errors.append(str(e))
     if param is None:
         try:
-            param = _substitution_route(net, partition, kappa, chosen)
+            param = _substitution_route(net, partition, rates, chosen)
         except MessiError as e:
             errors.append(str(e))
             raise MessiError(
                 "no steady-state parametrization: " + "; ".join(errors), errors
             )
     if verify:
-        _verify_parametrization(net, kappa, param)
+        _verify_parametrization(net, rates, param)
+    param.rates = rates
     return param
 
 
 def _verify_parametrization(net, kappa, param, point=None):
-    import random
-
     rng = random.Random(20240917)
     polys = net.mass_action_system(kappa)
     x = point or [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in param.chosen]
@@ -731,33 +822,8 @@ def messi_conservation(net, partition):
     """Block-wise 0/1 conservation laws: block alpha's law sums its species
     plus every intermediate fed (through intermediates) from a core complex
     containing a block-alpha species.  Verified to lie in the left kernel
-    of the stoichiometric matrix."""
-    blocks = _block_index(net, partition)
-    intermediate, core, _ = classify_complexes(net, partition)
-    feeds = {}
-    for u, sp in intermediate.items():
-        feeds[sp] = set()
-        for y in _core_sources(net, partition, u):
-            for s2, _ in y:
-                feeds[sp].add(blocks[s2])
-    N = net.stoichiometric_matrix()
-    laws = []
-    for b in range(1, len(partition)):
-        vec = [Fraction(0)] * len(net.species)
-        for sp in partition[b]:
-            vec[net.index[sp]] = Fraction(1)
-        for sp, bs in feeds.items():
-            if b in bs:
-                vec[net.index[sp]] = Fraction(1)
-        for j in range(len(net.reactions)):
-            tot = sum(vec[i] * N[i][j] for i in range(len(net.species)))
-            if tot != 0:
-                raise MessiError("block %d sum is not conserved" % b)
-        laws.append(vec)
-    # independence
-    if ratlin.rank(laws) != len(laws):
-        raise MessiError("conservation laws are dependent")
-    return laws
+    of the stoichiometric matrix, and independent."""
+    return [list(law) for law in messi_model(net, partition).laws]
 
 
 @dataclass
@@ -767,7 +833,7 @@ class RegionSystem:
     chosen: tuple
     totals: list
     parametrization: Parametrization
-    laws: list
+    laws: tuple  # the model's laws, shared and read-only
     column_symbols: list
 
     @property
@@ -791,7 +857,7 @@ def assemble_region_system(net, partition, kappa, totals, chosen=None, param=Non
     if param is None:
         param = steady_state_parametrization(net, partition, kappa, chosen)
     chosen = param.chosen
-    laws = messi_conservation(net, partition)
+    laws = messi_model(net, partition, chosen).laws
     m = len(laws)
     if len(totals) != m:
         raise MessiError("need one total per conservation law (%d)" % m)
@@ -827,15 +893,13 @@ class RescaleResult:
     chosen_scale: dict  # chosen species -> variable-change factor
     gamma_effective: list  # normalized column scaling actually matched
     residual: float
+    region: RegionSystem  # the region system at kappa_bar (the postcondition's)
 
 
-def _reactant_core_complexes(net, partition):
-    intermediate, core, _ = classify_complexes(net, partition)
-    out = []
-    for r in net.reactions:
-        if r.source in core and r.source not in out:
-            out.append(r.source)
-    return out
+def _positive_finite(items, what):
+    for name, v in items:
+        if not 0 < v < math.inf:
+            raise MessiError("%s %s = %s is not positive and finite" % (what, name, v))
 
 
 def rescale_back(net, partition, kappa, totals, gamma, chosen=None, region=None):
@@ -846,10 +910,12 @@ def rescale_back(net, partition, kappa, totals, gamma, chosen=None, region=None)
     the chosen-variable columns are absorbed into a variable change
     ``x_alpha -> g_alpha x_alpha`` (reported in ``chosen_scale``).  The
     exponent of each remaining column in the per-reactant-complex scaling
-    is measured by exact probing (multiply all rates out of one core
-    complex by 2 and factor the column ratio), the resulting linear system
-    is solved in logarithms, and the postcondition
-    ``C(kappa_bar) = C(kappa) * diag(gamma_eff)`` is verified to 1e-9.
+    comes from :attr:`MessiModel.rescale_exponents`, the linear system is
+    solved in logarithms, and the postcondition ``C(kappa_bar) = C(kappa) *
+    diag(gamma_eff)`` is verified to 1e-9 on an assembly at ``kappa_bar``,
+    returned as ``region``.  ``C(kappa)`` is ``region`` itself when that was
+    assembled at exact rates and totals equal to these.  A scaling that is
+    not realizable or leaves the float range raises :class:`MessiError`.
     """
     import numpy as np
 
@@ -860,70 +926,48 @@ def rescale_back(net, partition, kappa, totals, gamma, chosen=None, region=None)
     n = len(cols)
     if len(gamma) != n:
         raise MessiError("need one scale per column")
-    gamma = [float(g) for g in gamma]
+    rates = net.rates(kappa)
+    _positive_finite(rates.items(), "rate")
+    names, exponents = messi_model(net, partition, chosen).rescale_exponents
+    exact = {k: Fraction(v) for k, v in rates.items()}
+    used = region.parametrization.rates or {}
+    if (used == exact and region.totals == list(totals) and all(
+            isinstance(v, (int, Fraction)) for v in [*used.values(), *region.totals, *totals])):
+        base = region
+    else:
+        base = assemble_region_system(net, partition, exact, totals, chosen)
     const = region.constant_column
     unit_cols = region.chosen_columns()
-    gtil = [g / gamma[const] for g in gamma]
-    gscale = {sp: gtil[unit_cols[a]] for a, sp in enumerate(chosen)}
-    ghat = []
-    for j, e in enumerate(cols):
-        val = gtil[j]
-        for a in range(len(chosen)):
-            val *= gtil[unit_cols[a]] ** (-e[a])
-        ghat.append(val)
     active = [j for j in range(n) if j != const and j not in unit_cols]
-    # probe every reactant core complex with an exact factor of 2
-    kappa_exact = {k: Fraction(v) for k, v in net.rates(kappa).items()}
-    base = assemble_region_system(net, partition, kappa_exact, totals, chosen)
-    probes = []
-    names = []
-    for y in _reactant_core_complexes(net, partition):
-        k2 = dict(kappa_exact)
-        for r in net.reactions:
-            if r.source == y:
-                k2[r.rate_name] = kappa_exact[r.rate_name] * 2
-        scaled = assemble_region_system(net, partition, k2, totals, chosen)
-        if scaled.cfg.points != base.cfg.points:
-            continue
-        evec = {}
-        uniform = True
-        for j in active:
-            ratios = set()
-            for a in range(len(base.C)):
-                c0, c1 = base.C[a][j], scaled.C[a][j]
-                if (c0 == 0) != (c1 == 0):
-                    uniform = False
-                    break
-                if c0 != 0:
-                    ratios.add(c1 / c0)
-            if not uniform or len(ratios) > 1:
-                uniform = False
-                break
-            if not ratios:
-                evec[j] = 0
-                continue
-            (r,) = ratios
-            num, den = r.numerator, r.denominator
-            if (num & (num - 1)) or (den & (den - 1)):
-                uniform = False
-                break
-            evec[j] = num.bit_length() - den.bit_length()
-        if uniform:
-            probes.append(evec)
-            names.append(y)
-    if not probes and any(abs(math.log(ghat[j])) > 1e-12 for j in active):
-        raise MessiError("no reactant complex scales the region system")
-    E = np.array([[p[j] for p in probes] for j in active], dtype=float)
-    rhs = np.array([math.log(ghat[j]) for j in active])
-    if E.size:
-        sol, *_ = np.linalg.lstsq(E, rhs, rcond=None)
-        res = E @ sol - rhs
-        if np.max(np.abs(res), initial=0.0) > 1e-9:
-            raise MessiError("column scaling is not realizable by rate rescaling")
-    else:
-        sol = np.zeros(0)
-    multipliers = {y: math.exp(s) for y, s in zip(names, sol)}
-    kbar = {k: float(v) for k, v in net.rates(kappa).items()}
+    if any(cols[j] not in exponents for j in active):
+        raise MessiError("region system has a monomial the structure does not produce")
+    try:
+        gamma = [float(g) for g in gamma]
+        _positive_finite(enumerate(gamma), "column scale")
+        gtil = [g / gamma[const] for g in gamma]
+        gscale = {sp: gtil[unit_cols[a]] for a, sp in enumerate(chosen)}
+        ghat = []
+        for j, e in enumerate(cols):
+            val = gtil[j]
+            for a in range(len(chosen)):
+                val *= gtil[unit_cols[a]] ** (-e[a])
+            ghat.append(val)
+        _positive_finite(enumerate(ghat), "normalized column scale")
+        if not names and any(abs(math.log(ghat[j])) > 1e-12 for j in active):
+            raise MessiError("no reactant complex scales the region system")
+        E = np.array([exponents[cols[j]] for j in active], dtype=float)
+        rhs = np.array([math.log(ghat[j]) for j in active])
+        if E.size:
+            sol, *_ = np.linalg.lstsq(E, rhs, rcond=None)
+            res = E @ sol - rhs
+            if np.max(np.abs(res), initial=0.0) > 1e-9:
+                raise MessiError("column scaling is not realizable by rate rescaling")
+        else:
+            sol = np.zeros(0)
+        multipliers = {y: math.exp(s) for y, s in zip(names, sol)}
+        kbar = {k: float(v) for k, v in rates.items()}
+    except (OverflowError, ZeroDivisionError) as e:
+        raise MessiError("column scaling leaves the float range (%s)" % e)
     for y, ell in multipliers.items():
         for r in net.reactions:
             if r.source == y:
@@ -940,8 +984,6 @@ def rescale_back(net, partition, kappa, totals, gamma, chosen=None, region=None)
             scale = max(abs(want), abs(got), 1e-300)
             worst = max(worst, abs(want - got) / scale)
     if worst > 1e-9:
-        raise MessiError(
-            "column scaling is not realizable by rate rescaling "
-            "(postcondition residual %g)" % worst
-        )
-    return RescaleResult(kbar, multipliers, gscale, ghat, worst)
+        raise MessiError("column scaling is not realizable by rate rescaling "
+                         "(postcondition residual %g)" % worst)
+    return RescaleResult(kbar, multipliers, gscale, ghat, worst, scaled)

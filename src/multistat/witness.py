@@ -495,9 +495,7 @@ def _attach_network(report, context):
     report.rescale = res
     report.kappa_bar = res.kappa_bar
     report.chosen_scale = res.chosen_scale
-    param_bar = messi.steady_state_parametrization(
-        net, partition, res.kappa_bar, chosen=region.chosen, verify=False
-    )
+    param_bar = res.region.parametrization
     laws = region.laws
     species_roots = []
     for root in report.roots:
