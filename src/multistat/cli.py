@@ -151,7 +151,7 @@ def _analysis_stages(net, partition, kappa, totals):
         "conservation_laws": [list(l) for l in region.laws],
         "parametrization": {
             "chosen": list(region.chosen),
-            "route": region.parametrization.route,
+            "route": "substitution",
             "terms": {
                 sp: [
                     {"exponents": list(e), "coefficient": Fraction(c)}
@@ -232,8 +232,8 @@ def cmd_analyze(args):
     lines = [
         "network %s: %d species, %d reactions" % (
             net.name, len(net.species), len(net.reactions)),
-        "steady-state parametrization via the %s route in %s" % (
-            region.parametrization.route, ", ".join(region.chosen)),
+        "steady-state parametrization via the substitution route in %s" % (
+            ", ".join(region.chosen)),
         "region system: %d monomials in %d variables" % (
             region.cfg.n, region.cfg.d),
         "positively decorated simplices: %s" % (

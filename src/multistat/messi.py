@@ -4,16 +4,16 @@ Species are partitioned into a block of *intermediates* (block 0) and
 *core* blocks 1..m.  Intermediate complexes are singletons of block-0
 species; core complexes are mono- or bimolecular in core species.  Under
 the structural conditions checked here, the steady-state variety admits an
-explicit parametrization by one chosen concentration per core block:
-
-* intermediates are eliminated linearly through a Matrix-Tree computation
-  on the collapsed reaction graph,
-* each core block's concentrations follow from flux balances along the
-  simple cycles of its association graph (single monomials when every pair
-  of nodes is joined by a unique simple path),
-* when those hypotheses fail but the remaining steady-state equations are
-  triangular and linear in the non-chosen species, a sequential
-  substitution produces the (possibly multi-term) elimination instead.
+explicit parametrization by one chosen concentration per core block.  It
+is derived by one exact route: every rate is converted to a ``Fraction``
+(exactly, floats included), and the steady-state equations of the exact
+mass-action system are solved one unsolved species at a time, each from an
+equation that is linear in it and free of every other unsolved species.
+Each species becomes a Laurent polynomial in the chosen concentrations (a
+single monomial on networks with toric steady states), and the result is
+checked to zero the exact mass-action system.  The Matrix-Tree elimination
+of intermediates and the association graphs of :func:`s_toric_check`
+describe the MESSI structure; the parametrization does not depend on them.
 
 Substituting the parametrization into the independent conservation laws
 yields the *region system*: a coefficient matrix over a point
@@ -26,13 +26,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from types import MappingProxyType
-
-import networkx as nx
 
 from . import ratlin
 from .points import PointConfiguration
@@ -466,32 +464,58 @@ def layer_sets(ge_edges, m):
     return layers
 
 
-def _component_graphs(net, partition, g2):
-    """networkx digraphs of the association graph restricted to each block
-    (loops dropped)."""
+def _component_graphs(partition, g2):
+    """The association graph restricted to each block, as adjacency sets
+    (node -> successors; loops dropped)."""
     blocks = g2["blocks"]
     graphs = {}
     for b in range(1, len(partition)):
-        G = nx.DiGraph()
-        G.add_nodes_from(partition[b])
-        for u, v, tau, hidden, sym in g2["edges"]:
+        adj = {sp: set() for sp in partition[b]}
+        for u, v, *_ in g2["edges"]:
             if u != v and blocks[u] == b:
-                G.add_edge(u, v, tau=tau, hidden=hidden, sym=sym)
-        graphs[b] = G
+                adj.setdefault(u, set()).add(v)
+                adj.setdefault(v, set())
+        graphs[b] = adj
     return graphs
 
 
-def _unique_simple_paths(G):
-    nodes = list(G.nodes)
-    for u, v in permutations(nodes, 2):
-        count = 0
-        for _ in nx.all_simple_paths(G, u, v):
-            count += 1
-            if count > 1:
-                return False
-        if count != 1:
-            return False
-    return True
+def _reach(adj, start):
+    """Every node reachable from ``start``, ``start`` included."""
+    seen, stack = {start}, [start]
+    while stack:
+        for v in adj[stack.pop()] - seen:
+            seen.add(v)
+            stack.append(v)
+    return seen
+
+
+def _strongly_connected(adj):
+    """Whether every node reaches every other: one node reaches all, and
+    all reach it (a search on the reversed edges)."""
+    back = {v: set() for v in adj}
+    for u, succ in adj.items():
+        for v in succ:
+            back[v].add(u)
+    start = next(iter(adj))
+    return len(_reach(adj, start)) == len(_reach(back, start)) == len(adj)
+
+
+def _count_simple_paths(adj, u, v):
+    """The number of simple paths from ``u`` to ``v != u``, counted up to 2:
+    enough to tell a unique path from none or several."""
+    count, stack = 0, [(u, {u})]
+    while stack and count < 2:
+        w, on_path = stack.pop()
+        for x in adj[w]:
+            if x == v:
+                count += 1
+            elif x not in on_path:
+                stack.append((x, on_path | {x}))
+    return min(count, 2)
+
+
+def _unique_simple_paths(adj):
+    return all(_count_simple_paths(adj, u, v) == 1 for u, v in permutations(adj, 2))
 
 
 def s_toric_check(net, partition, kappa=None):
@@ -513,17 +537,10 @@ def s_toric_check(net, partition, kappa=None):
                    g2_error=str(e))
         return out
     out["parallel_free"] = g2["parallel_free"]
-    graphs = _component_graphs(net, partition, g2)
-    wr = True
-    usp = True
-    for b, G in graphs.items():
-        if len(G) > 1 and G.number_of_edges() > 0:
-            if not nx.is_strongly_connected(G):
-                wr = False
-            if not _unique_simple_paths(G):
-                usp = False
-    out["weakly_reversible"] = wr
-    out["unique_simple_paths"] = usp
+    graphs = [adj for adj in _component_graphs(partition, g2).values()
+              if len(adj) > 1 and any(adj.values())]
+    out["weakly_reversible"] = wr = all(map(_strongly_connected, graphs))
+    out["unique_simple_paths"] = usp = all(map(_unique_simple_paths, graphs))
     out["quotient_condition"] = "verified" if (usp and wr) else "not verified"
     return out
 
@@ -562,11 +579,8 @@ def _tpow(p, k, m):
 @dataclass
 class Parametrization:
     chosen: tuple  # species names, defining the m coordinates
-    terms: dict  # species -> {exponent tuple: coefficient}
-    route: str  # "monomial" or "substitution"
-    mu: dict = field(default_factory=dict)
-    symbols: dict = field(default_factory=dict)
-    rates: dict = None  # the rate constants it was derived at
+    terms: dict  # species -> {exponent tuple: Fraction coefficient}
+    rates: dict  # the exact rate constants it was derived at
 
     def evaluate(self, x):
         """Species values at chosen concentrations ``x`` (positive)."""
@@ -612,206 +626,91 @@ def _check_chosen(net, partition, chosen):
     return blocks
 
 
-def _monomial_route(net, partition, kappa, chosen):
-    blocks = _check_chosen(net, partition, chosen)
-    m = len(chosen)
-    coord = {sp: i for i, sp in enumerate(chosen)}
-    g2 = build_G2(net, partition, kappa)
-    if not g2["parallel_free"]:
-        raise MessiError("association graph has parallel edges")
-    layers = layer_sets(g2["GE"], len(partition) - 1)
-    graphs = _component_graphs(net, partition, g2)
-    unit = lambda sp: {tuple(int(j == coord[sp]) for j in range(m)): Fraction(1)}
-    terms = {sp: unit(sp) for sp in chosen}
-    symbols = {}
-
-    def label_term(data):
-        """Single (exponent, coefficient) pair of an edge label tau * x_hidden."""
-        tau = Fraction(data["tau"])
-        hidden = data["hidden"]
-        if hidden is None:
-            return {tuple([0] * m): tau}
-        hp = terms.get(hidden)
-        if hp is None:
-            raise MessiError("label species %r not yet parametrized" % hidden)
-        if len(hp) != 1:
-            raise MessiError("label species %r is not a single monomial" % hidden)
-        ((e, c),) = hp.items()
-        return {e: tau * c}
-
-    for layer in layers:
-        for b in layer:
-            G = graphs[b]
-            if len(G) == 1:
-                sp = partition[b][0]
-                if sp not in terms:
-                    raise MessiError("isolated block %d must hold its chosen species" % b)
-                continue
-            if G.number_of_edges() == 0 or not nx.is_strongly_connected(G):
-                raise MessiError("block %d association graph is not weakly reversible" % b)
-            if not _unique_simple_paths(G):
-                raise MessiError("block %d violates the unique-simple-path hypothesis" % b)
-            start = next(sp for sp in partition[b] if sp in terms)
-            values = {start: terms[start]}
-            # flux balance along every simple cycle: the cycle out-rates
-            # weight the node concentrations equally
-            cycles = list(nx.simple_cycles(G))
-            changed = True
-            while changed and len(values) < len(G):
-                changed = False
-                for cyc in cycles:
-                    L = len(cyc)
-                    for i in range(L):
-                        u, v = cyc[i], cyc[(i + 1) % L]
-                        lu = label_term(G.edges[u, cyc[(i + 1) % L]])
-                        wv = cyc[(i + 2) % L] if L > 1 else u
-                        lv = label_term(G.edges[v, wv]) if G.has_edge(v, wv) else None
-                        if lv is None:
-                            continue
-                        if u in values and v not in values:
-                            ((eu, cu),) = lu.items()
-                            ((ev, cv),) = lv.items()
-                            ratio = {tuple(a - b for a, b in zip(eu, ev)): cu / cv}
-                            values[v] = _tmul(values[u], ratio)
-                            changed = True
-            if len(values) < len(G):
-                raise MessiError("could not propagate concentrations in block %d" % b)
-            terms.update(values)
-    # intermediates
-    mu = intermediate_coefficients(net, partition, kappa) if partition[0] else {}
-    for sp, (mval, src) in mu.items():
-        poly = {tuple([0] * m): Fraction(mval)}
-        for s2, c in src:
-            poly = _tmul(poly, _tpow(terms[s2], c, m))
-        if len(poly) != 1:
-            raise MessiError("intermediate %r is not a single monomial" % sp)
-        terms[sp] = poly
-        symbols[sp] = "mu[%s] * x^%r" % (sp, dict(src))
-    return Parametrization(tuple(chosen), terms, "monomial", mu=mu, symbols=symbols)
-
-
 def _substitution_route(net, partition, kappa, chosen):
+    """Solve the steady-state equations at exact rates ``kappa`` for the
+    non-chosen species, one at a time, each from the first equation that
+    determines it."""
     _check_chosen(net, partition, chosen)
     m = len(chosen)
     coord = {sp: i for i, sp in enumerate(chosen)}
     polys = net.mass_action_system(kappa)
-    unknown = [sp for sp in net.species if sp not in coord]
     known = {sp: {tuple(int(j == coord[sp]) for j in range(m)): Fraction(1)} for sp in chosen}
+    pending = {net.index[sp] for sp in net.species if sp not in coord}
 
     def expand(mono, coeff):
-        """Expand a full-species monomial over the chosen coordinates;
-        None when it still contains unsolved species."""
-        poly = {tuple([0] * m): Fraction(coeff)}
+        """Expand a monomial in solved species over the chosen coordinates."""
+        poly = {tuple([0] * m): coeff}
         for sp, e in zip(net.species, mono):
-            if not e:
-                continue
-            if sp in known:
+            if e:
                 poly = _tmul(poly, _tpow(known[sp], e, m))
-            else:
-                return None
         return poly
 
-    pending = set(unknown)
+    def solve(eq, vi):
+        """Species ``vi`` over the chosen coordinates from ``eq``, or None.
+        Decided from the exponents before any expansion: some term has
+        degree 1 in ``vi``, every term at most 1 and none in another
+        unsolved species; then the coefficient of ``vi`` must be a single
+        monomial."""
+        if not any(mono[vi] for mono in eq) or any(
+                mono[vi] > 1 or sum(mono[i] for i in pending) != mono[vi] for mono in eq):
+            return None
+        coeff, rest = {}, {}
+        for mono, c in eq.items():
+            if mono[vi]:
+                coeff = _tadd(coeff, expand(mono[:vi] + (0,) + mono[vi + 1:], c))
+            else:
+                rest = _tadd(rest, expand(mono, c))
+        if len(coeff) != 1 or not rest:
+            return None
+        ((ce, cc),) = coeff.items()
+        return {tuple(a - b for a, b in zip(e, ce)): -c / cc for e, c in rest.items()}
+
     while pending:
-        progress = False
-        for v in sorted(pending, key=net.species.index):
-            vi = net.index[v]
-            for eq in polys:
-                coeff_poly = {}
-                rest_poly = {}
-                ok = bool(eq)
-                for mono, c in eq.items():
-                    deg_unsolved = sum(e for sp, e in zip(net.species, mono) if sp in pending)
-                    if mono[vi] == 0:
-                        if deg_unsolved:
-                            ok = False
-                            break
-                        rest_poly = _tadd(rest_poly, expand(mono, c))
-                    elif mono[vi] == 1 and deg_unsolved == 1:
-                        stripped = tuple(e - int(i == vi) for i, e in enumerate(mono))
-                        coeff_poly = _tadd(coeff_poly, expand(stripped, c))
-                    else:
-                        ok = False
-                        break
-                if not ok or len(coeff_poly) != 1 or not rest_poly:
-                    continue
-                ((ce, cc),) = coeff_poly.items()
-                known[v] = {
-                    tuple(a - b for a, b in zip(e, ce)): -c / cc for e, c in rest_poly.items()
-                }
-                pending.discard(v)
-                progress = True
-                break
-            if progress:
-                break
-        if not progress:
-            raise MessiError(
-                "sequential elimination stuck; unsolved species %r" % sorted(pending)
-            )
-    return Parametrization(tuple(chosen), known, "substitution")
+        found = next(((vi, poly) for vi in sorted(pending) for eq in polys
+                      for poly in [solve(eq, vi)] if poly is not None), None)
+        if found is None:
+            raise MessiError("sequential elimination stuck; unsolved species %r"
+                             % sorted(net.species[i] for i in pending))
+        known[net.species[found[0]]] = found[1]
+        pending.discard(found[0])
+    return Parametrization(tuple(chosen), known, kappa)
 
 
-def steady_state_parametrization(net, partition, kappa=None, chosen=None, verify=True):
+def steady_state_parametrization(net, partition, kappa=None, chosen=None):
     """Parametrization of the positive steady-state variety by one chosen
     concentration per core block.
 
-    The monomial route (intermediate elimination plus cycle flux balances)
-    is used when its hypotheses hold; otherwise a sequential linear
-    substitution is attempted.  The result is verified by substituting into
-    the full mass-action system at a random positive rational point, which
-    must vanish identically.  Every rate constant must be positive and
-    finite.
+    Every rate constant must be positive and finite; each is converted to
+    a ``Fraction`` (exact for floats too), and the species are eliminated
+    by sequential linear substitution in the exact mass-action system.
+    The result is verified by substituting into that system at a positive
+    rational point, where it must vanish exactly.
     """
     model = messi_model(net, partition, chosen)
     if model.violations:
         raise MessiError("invalid species partition: " + "; ".join(model.violations),
                          list(model.violations))
-    chosen = model.chosen
     rates = net.rates(kappa)
     _positive_finite(rates.items(), "rate")
-    errors = []
-    param = None
+    rates = {k: Fraction(v) for k, v in rates.items()}
     try:
-        param = _monomial_route(net, partition, rates, chosen)
+        param = _substitution_route(net, partition, rates, model.chosen)
     except MessiError as e:
-        errors.append(str(e))
-    if param is None:
-        try:
-            param = _substitution_route(net, partition, rates, chosen)
-        except MessiError as e:
-            errors.append(str(e))
-            raise MessiError(
-                "no steady-state parametrization: " + "; ".join(errors), errors
-            )
-    if verify:
-        _verify_parametrization(net, rates, param)
-    param.rates = rates
+        raise MessiError("no steady-state parametrization: %s" % e, [str(e)])
+    _verify_parametrization(net, param)
     return param
 
 
-def _verify_parametrization(net, kappa, param, point=None):
+def _verify_parametrization(net, param):
     rng = random.Random(20240917)
-    polys = net.mass_action_system(kappa)
-    x = point or [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in param.chosen]
+    x = [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in param.chosen]
     vals = param.evaluate(x)
-    exact = all(
-        isinstance(v, (Fraction, int)) for v in vals.values()
-    ) and all(isinstance(c, (Fraction, int)) for p in polys for c in p.values())
     full = [vals[sp] for sp in net.species]
-    for i, p in enumerate(polys):
-        total = 0
-        scale = 0
-        for mono, c in p.items():
-            term = c
-            for xv, e in zip(full, mono):
-                term = term * xv ** e
-            total += term
-            scale += abs(term)
-        if exact:
-            if total != 0:
-                raise MessiError("parametrization residual %r on %r" % (total, net.species[i]))
-        elif scale and abs(total) > 1e-9 * scale:
-            raise MessiError("parametrization residual %r on %r" % (total, net.species[i]))
+    for sp, p in zip(net.species, net.mass_action_system(param.rates)):
+        total = sum(c * math.prod(xv ** e for xv, e in zip(full, mono) if e)
+                    for mono, c in p.items())
+        if total != 0:
+            raise MessiError("parametrization residual %r on %r" % (total, sp))
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +813,7 @@ def rescale_back(net, partition, kappa, totals, gamma, chosen=None, region=None)
     solved in logarithms, and the postcondition ``C(kappa_bar) = C(kappa) *
     diag(gamma_eff)`` is verified to 1e-9 on an assembly at ``kappa_bar``,
     returned as ``region``.  ``C(kappa)`` is ``region`` itself when that was
-    assembled at exact rates and totals equal to these.  A scaling that is
+    assembled at these rates and at exact totals equal to these.  A scaling that is
     not realizable or leaves the float range raises :class:`MessiError`.
     """
     import numpy as np
@@ -930,9 +829,8 @@ def rescale_back(net, partition, kappa, totals, gamma, chosen=None, region=None)
     _positive_finite(rates.items(), "rate")
     names, exponents = messi_model(net, partition, chosen).rescale_exponents
     exact = {k: Fraction(v) for k, v in rates.items()}
-    used = region.parametrization.rates or {}
-    if (used == exact and region.totals == list(totals) and all(
-            isinstance(v, (int, Fraction)) for v in [*used.values(), *region.totals, *totals])):
+    if (region.parametrization.rates == exact and region.totals == list(totals)
+            and all(isinstance(v, (int, Fraction)) for v in [*region.totals, *totals])):
         base = region
     else:
         base = assemble_region_system(net, partition, exact, totals, chosen)

@@ -18,6 +18,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -73,6 +74,19 @@ def phi_map(cfg, alpha, t, h):
     return gamma
 
 
+def _log_abs(c):
+    """``log|c|`` of a nonzero coefficient, also for an exact one outside
+    the double range (from its integer numerator and denominator)."""
+    try:
+        f = abs(float(c))
+    except OverflowError:
+        f = math.inf
+    if 0 < f < math.inf:
+        return math.log(f)
+    c = Fraction(c)
+    return math.log(abs(c.numerator)) - math.log(c.denominator)
+
+
 class DeformedSystem:
     """The system ``sum_j C[i][j] t^{h_j} x^{a_j}`` in log coordinates.
 
@@ -101,11 +115,10 @@ class DeformedSystem:
         logmag = np.full((self.m, cfg.n), -np.inf)
         for i, row in enumerate(C):
             for j, c in enumerate(row):
-                c = float(c)
                 if c == 0:
                     continue
                 sign[i, j] = 1.0 if c > 0 else -1.0
-                logmag[i, j] = math.log(abs(c)) + H[i, j] * logt
+                logmag[i, j] = _log_abs(c) + H[i, j] * logt
         self.sign = sign
         self.logmag = logmag
 

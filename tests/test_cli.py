@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from multistat import report
 from multistat.cli import main
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 HK_ARGS = ["--builtin", "hk", "--k", "1,1,2,1,1,1", "--T", "1.75,1"]
 PHOSPHO_K = ",".join(["1,1,1", "1,1,2", "1,1,1", "1,1,1"])  # kcat1 = 2
 
@@ -152,3 +156,11 @@ def test_subdivision_malformed_points(tmp_path, capsys):
     pts = tmp_path / "points.txt"
     pts.write_text("1 0\nfoo bar\n")
     assert main(["subdivision", str(pts)]) == 2
+
+
+def test_cli_import_does_not_load_networkx():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys\nimport multistat.cli\nprint('networkx' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

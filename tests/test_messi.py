@@ -1,8 +1,13 @@
+import json
 import math
+import os
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multistat import messi
 from multistat.messi import (
@@ -28,7 +33,9 @@ from multistat.networks import (
     phosphorylation,
 )
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 HK_KAPPA = dict(k1=1, k2=1, k3=2, k4=1, k5=1, k6=1)
+MIXED_KAPPA = {f"k{i}": Fraction(i, 3) for i in range(1, 11)}
 
 
 def phospho_kappa(n):
@@ -46,6 +53,14 @@ ALL_BUILTINS = [
     phosphorylation(2),
     mixed_phosphorylation(),
 ]
+
+NETWORKS = {
+    "hk": hybrid_kinase,
+    "phospho:2": lambda: phosphorylation(2),
+    "phospho:3": lambda: phosphorylation(3),
+    "phospho:5": lambda: phosphorylation(5),
+    "mixed-phospho": mixed_phosphorylation,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +149,8 @@ def test_hk_fails_structural_conditions():
     net, part = hybrid_kinase()
     out = s_toric_check(net, part, HK_KAPPA)
     assert out["valid_partition"]
-    # two association edges share the same endpoints, so the monomial
-    # route does not apply to this network
+    # two association edges share the same endpoints, so the toric
+    # structural conditions do not hold on this network
     assert not (out.get("parallel_free", False) and out.get("unique_simple_paths", False))
     assert out["quotient_condition"] == "not verified"
 
@@ -163,6 +178,63 @@ def test_layer_sets_cycle_detected():
         layer_sets({(1, 2), (2, 1)}, 2)
 
 
+# the structural verdicts, recorded while they were computed with networkx
+S_TORIC = {
+    "hk": (HK_KAPPA, dict(
+        valid_partition=True, unique_intermediate_sources=True, parallel_free=False,
+        weakly_reversible=True, unique_simple_paths=False,
+        quotient_condition="not verified")),
+    "phospho:2": (phospho_kappa(2), dict(
+        valid_partition=True, unique_intermediate_sources=True, parallel_free=True,
+        weakly_reversible=True, unique_simple_paths=True, quotient_condition="verified")),
+    "phospho:3": (phospho_kappa(3), dict(
+        valid_partition=True, unique_intermediate_sources=True, parallel_free=True,
+        weakly_reversible=True, unique_simple_paths=True, quotient_condition="verified")),
+    "mixed-phospho": (MIXED_KAPPA, dict(
+        valid_partition=True, unique_intermediate_sources=True, parallel_free=True,
+        weakly_reversible=True, unique_simple_paths=True, quotient_condition="verified")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(S_TORIC))
+def test_s_toric_check_is_pinned(name):
+    kappa, want = S_TORIC[name]
+    assert s_toric_check(*NETWORKS[name](), kappa) == want
+
+
+def digraphs(max_nodes=6):
+    def with_edges(n):
+        edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        return st.sets(edge.filter(lambda e: e[0] != e[1])).map(lambda edges: (n, edges))
+    return st.integers(1, max_nodes).flatmap(with_edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs())
+def test_graph_helpers_match_brute_force(graph):
+    n, edges = graph
+    adj = {v: {b for a, b in edges if a == v} for v in range(n)}
+    # transitive closure
+    reach = set(edges) | {(v, v) for v in range(n)}
+    for w in range(n):
+        for u in range(n):
+            for v in range(n):
+                if (u, w) in reach and (w, v) in reach:
+                    reach.add((u, v))
+    assert messi._strongly_connected(adj) == (len(reach) == n * n)
+
+    def simple_paths(u, v):
+        # every ordering of every subset of the other nodes as the interior
+        others = [w for w in range(n) if w not in (u, v)]
+        return sum(all(e in edges for e in zip((u, *mid), (*mid, v)))
+                   for k in range(len(others) + 1) for mid in permutations(others, k))
+
+    counts = {(u, v): simple_paths(u, v) for u, v in permutations(range(n), 2)}
+    for (u, v), count in counts.items():
+        assert messi._count_simple_paths(adj, u, v) == min(count, 2)
+    assert messi._unique_simple_paths(adj) == all(c == 1 for c in counts.values())
+
+
 # ---------------------------------------------------------------------------
 # steady-state parametrization
 # ---------------------------------------------------------------------------
@@ -171,7 +243,6 @@ def test_hk_parametrization_values():
     net, part = hybrid_kinase()
     p = steady_state_parametrization(net, part, HK_KAPPA)
     assert p.chosen == ("X4", "X5")
-    assert p.route == "substitution"
     assert p.terms["X1"] == {(1, 2): Fraction(1, 2)}
     assert p.terms["X2"] == {(1, 2): Fraction(1, 2), (1, 1): Fraction(1)}
     assert p.terms["X3"] == {(1, 1): Fraction(1, 2)}
@@ -182,7 +253,6 @@ def test_phospho_parametrization_values():
     net, part = phosphorylation(2)
     p = steady_state_parametrization(net, part, phospho_kappa(2))
     assert p.chosen == ("S0", "E", "F")
-    assert p.route == "monomial"
     assert p.terms["S1"] == {(1, 1, -1): Fraction(1)}
     assert p.terms["S2"] == {(1, 2, -2): Fraction(4, 3)}
     assert p.terms["ES0"] == {(1, 1, 0): Fraction(1, 2)}
@@ -197,7 +267,7 @@ def test_parametrization_zeros_mass_action_exactly():
         (hybrid_kinase(), HK_KAPPA),
         (phosphorylation(2), phospho_kappa(2)),
         (phosphorylation(3), phospho_kappa(3)),
-        (mixed_phosphorylation(), {f"k{i}": Fraction(i, 3) for i in range(1, 11)}),
+        (mixed_phosphorylation(), MIXED_KAPPA),
     ]
     for (net, part), kappa in cases:
         p = steady_state_parametrization(net, part, kappa)
@@ -213,6 +283,54 @@ def test_parametrization_zeros_mass_action_exactly():
                 for poly in polys
             ]
             assert all(fi == 0 for fi in f)
+
+
+def substituted(net, param, kappa):
+    """The mass-action polynomials at ``kappa`` with every species replaced
+    by its parametrization, as polynomials in the chosen coordinates."""
+    m = len(param.chosen)
+    for poly in net.mass_action_system(kappa):
+        total = {}
+        for mono, c in poly.items():
+            term = {(0,) * m: c}
+            for sp, e in zip(net.species, mono):
+                for _ in range(e):
+                    term = messi._tmul(term, param.terms[sp])
+            total = messi._tadd(total, term)
+        yield total
+
+
+def test_parametrization_reproduces_the_recorded_monomial_terms():
+    # terms of the former cycle flux-balance route, three seeded exact
+    # rate vectors per network
+    with open(os.path.join(DATA, "monomial-route-terms.json")) as fh:
+        cases = json.load(fh)
+    assert len(cases) == 12
+    for case in cases:
+        net, part = NETWORKS[case["network"]]()
+        kappa = {k: Fraction(v) for k, v in case["kappa"].items()}
+        p = steady_state_parametrization(net, part, kappa)
+        assert list(p.chosen) == case["chosen"]
+        assert p.terms == {sp: {tuple(e): Fraction(c) for e, c in terms}
+                           for sp, terms in case["terms"].items()}
+
+
+RATIONAL_RATE = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
+FLOAT_RATE = st.floats(min_value=-60, max_value=60).map(lambda t: 2.0 ** t)
+
+
+@pytest.mark.parametrize("name", ["hk", "phospho:2", "phospho:3", "mixed-phospho"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_parametrization_zeros_the_exact_system_at_random_rates(name, data):
+    net, part = NETWORKS[name]()
+    rate = data.draw(st.sampled_from([RATIONAL_RATE, FLOAT_RATE]))
+    kappa = {r.rate_name: data.draw(rate) for r in net.reactions}
+    p = steady_state_parametrization(net, part, kappa)
+    exact = {k: Fraction(v) for k, v in kappa.items()}
+    assert p.rates == exact
+    assert all(isinstance(c, Fraction) for poly in p.terms.values() for c in poly.values())
+    assert not any(substituted(net, p, exact))
 
 
 def test_default_chosen():

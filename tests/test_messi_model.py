@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multistat import messi
+from multistat import messi, witness
 from multistat.cli import main
 from multistat.messi import (
     MessiError,
@@ -246,14 +246,21 @@ def test_rescale_reuses_an_exact_region_and_reassembles_otherwise(monkeypatch):
                         lambda *a, **k: calls.append(a[2]) or real(*a, **k))
     rescale_back(net, part, HK_KAPPA, totals, gamma, region=region)
     assert calls == [want.kappa_bar]  # only the postcondition
-    # a region assembled at float rates is not the exact base
+    # a region assembled at float rates is exact as well, and reused
     calls.clear()
     float_kappa = {k: float(v) for k, v in HK_KAPPA.items()}
     float_region = real(net, part, float_kappa, totals)
     res = rescale_back(net, part, float_kappa, totals, gamma, region=float_region)
-    assert len(calls) == 2 and calls[0] == HK_KAPPA
-    assert all(isinstance(v, Fraction) for v in calls[0].values())
+    assert calls == [want.kappa_bar]
     assert res.kappa_bar == want.kappa_bar
+    # a region at other rates, or at other totals, is not the base
+    calls.clear()
+    rescale_back(net, part, dict(HK_KAPPA, k1=3), totals, gamma, region=region)
+    assert len(calls) == 2 and calls[0] == dict(HK_KAPPA, k1=3)
+    assert all(isinstance(v, Fraction) for v in calls[0].values())
+    calls.clear()
+    rescale_back(net, part, HK_KAPPA, [1.75, 1], gamma, region=region)
+    assert len(calls) == 2 and calls[0] == HK_KAPPA
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +305,9 @@ def test_mutated_reaction_list_gets_its_own_model():
     assert before.net.reactions[0] == r
     assert [list(law) for law in before.laws] == laws
     kappa = phospho_kappa(2)
+    want = steady_state_parametrization(*phosphorylation(2), kappa).terms
     kappa[r.rate_name + "_renamed"] = kappa.pop(r.rate_name)
-    assert steady_state_parametrization(net, part, kappa).route == "monomial"
+    assert steady_state_parametrization(net, part, kappa).terms == want
 
 
 def test_invalid_partition_raises_on_every_call():
@@ -383,6 +391,19 @@ def test_cli_rescale_past_the_float_range_is_a_structured_error(capsys):
     assert main(["witness", "--builtin", "hk", "--k", "1,1,2,1,1,1e400",
                  "--T", "7/4,1", "--quiet"]) == 3
     assert "float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["1,1,2,1,1,1e-400", "1,1,1e400,1,1,1", "1,1,2,1,1e-400,1"])
+def test_cli_rates_outside_the_double_range_end_in_a_documented_exit(k):
+    # a region coefficient beyond the float range neither raises nor is
+    # rounded to zero and dropped
+    assert main(["witness", "--builtin", "hk", "--k", k, "--T", "7/4,1", "--quiet"]) in (0, 3, 4)
+    net, part = hybrid_kinase()
+    kappa = {"k%d" % i: Fraction(v) for i, v in enumerate(k.split(","), 1)}
+    region = assemble_region_system(net, part, kappa, [Fraction(7, 4), 1])
+    system = witness.DeformedSystem(region.cfg, region.C, [0] * region.cfg.n, 1.0)
+    assert ((system.sign != 0) == (np.array(region.C) != 0)).all()
+    assert np.isfinite(system.logmag[system.sign != 0]).all()
 
 
 @pytest.mark.parametrize("entry", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])

@@ -97,6 +97,17 @@ def test_deformed_at_t_one_is_base_system():
             assert abs(f[i] - sum(terms) / top) < 1e-12
 
 
+def test_coefficients_outside_the_double_range_keep_their_magnitude():
+    cfg = PointConfiguration([(0,), (1,), (2,), (3,)])
+    C = [[Fraction(-7, 4), Fraction(1, 10 ** 400), Fraction(3, 10 ** 330) * 10 ** 700, 1]]
+    system = DeformedSystem(cfg, C, [0, 0, 0, 0], 1.0)
+    assert list(system.sign[0]) == [-1, 1, 1, 1]
+    # in range: the float logarithm, as before; outside: from the integers
+    assert system.logmag[0, 0] == math.log(1.75) and system.logmag[0, 3] == 0.0
+    assert system.logmag[0, 1] == pytest.approx(-400 * math.log(10), rel=1e-15)
+    assert system.logmag[0, 2] == pytest.approx(math.log(3) + 370 * math.log(10), rel=1e-15)
+
+
 def test_newton_univariate():
     cfg = PointConfiguration([(0,), (1,), (2,)])
     system = DeformedSystem(cfg, [[-2, 1, 0]], [0, 0, 0], 1.0)
