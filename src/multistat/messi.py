@@ -473,7 +473,7 @@ def _component_graphs(partition, g2):
         adj = {sp: set() for sp in partition[b]}
         for u, v, *_ in g2["edges"]:
             if u != v and blocks[u] == b:
-                adj.setdefault(u, set()).add(v)
+                adj[u].add(v)
                 adj.setdefault(v, set())
         graphs[b] = adj
     return graphs
@@ -623,7 +623,6 @@ def _check_chosen(net, partition, chosen):
         if blocks[sp] in seen:
             raise MessiError("two chosen species in block %d" % blocks[sp])
         seen.add(blocks[sp])
-    return blocks
 
 
 def _substitution_route(net, partition, kappa, chosen):
