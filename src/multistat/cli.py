@@ -15,6 +15,7 @@ or a rate that is not positive and finite, 4 witness search exhausted
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -252,6 +253,13 @@ def cmd_analyze(args):
 
 
 def cmd_witness(args):
+    if args.budget < 1:
+        raise CliError("--budget must be a positive integer, not %d" % args.budget, EXIT_PARSE)
+    seed = os.environ.get("MULTISTAT_SEED", "0")
+    try:
+        int(seed)
+    except ValueError:
+        raise CliError("MULTISTAT_SEED must be an integer, not %r" % seed, EXIT_PARSE)
     net, partition, kappa, totals = _load_network(args)
     region, decor, stages = _analysis_stages(net, partition, kappa, totals)
     doc = {

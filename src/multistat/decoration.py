@@ -170,6 +170,30 @@ def grow_families(decorated, normals, feasible):
     return families
 
 
+@dataclass
+class _Table:
+    """What :func:`find_decorated` derives from the points alone, shared by
+    every coefficient matrix on them and filled on demand: the simplices,
+    cone normals, facet adjacency, growth verdicts (keyed by the set of
+    candidate primitive normals) and family cones with their exact heights
+    (keyed by the family in growth order)."""
+
+    simplices: tuple
+    normals: dict = field(default_factory=dict)
+    facets: dict = field(default_factory=dict)
+    verdicts: dict = field(default_factory=dict)
+    cones: dict = field(default_factory=dict)
+
+    def feasible(self, cand):
+        key = frozenset(cand)
+        if key not in self.verdicts:
+            self.verdicts[key] = ratlin.strict_feasible(cand) is not None
+        return True if self.verdicts[key] else None
+
+
+_TABLES = {}  # tuple(cfg.points) -> _Table
+
+
 def find_decorated(cfg, C):
     """Enumerate decorated simplices of ``(cfg, C)`` and group them into
     jointly realizable families.
@@ -177,26 +201,37 @@ def find_decorated(cfg, C):
     Families are grown by :func:`grow_families` from each decorated simplex
     in lexicographic order, every check decided exactly (integer
     certificates, then the exact LP); each carries a rational witness
-    height from the exact LP on its joint cone.
+    height from the exact LP on its joint cone.  All but the decoration is
+    kept per configuration (:class:`_Table`); the report holds copies.
     """
-    decorated = []
-    indeterminate = []
-    for s in pts_mod.enumerate_simplices(cfg):
+    table = _TABLES.get(tuple(cfg.points))
+    if table is None:
+        table = _TABLES[tuple(cfg.points)] = _Table(tuple(pts_mod.enumerate_simplices(cfg)))
+    decorated, indeterminate = [], []
+    for s in table.simplices:
         try:
             if is_decorated(C, s):
                 decorated.append(s)
         except IndeterminateSign:
             indeterminate.append(s)
-    facet_pairs = [
-        (s1, s2)
-        for s1, s2 in combinations(decorated, 2)
-        if pts_mod.shares_facet(cfg, s1, s2)
-    ]
-    normals = {s: pts_mod.cone_normals(cfg.matrix, s) for s in decorated}
+    facet_pairs = []
+    for pair in combinations(decorated, 2):
+        if pair not in table.facets:
+            table.facets[pair] = pts_mod.shares_facet(cfg, *pair)
+        if table.facets[pair]:
+            facet_pairs.append(pair)
+    normals = table.normals
+    for s in decorated:
+        if s not in normals:
+            normals[s] = tuple(pts_mod.cone_normals(cfg.matrix, s))
     families = []
-    for family in grow_families(decorated, normals, ratlin.strict_feasible):
-        cone = pts_mod.joint_cone(cfg, family, normals)
-        families.append(DecoratedFamily(sorted(family), cone.interior_point(), cone))
+    for family in grow_families(decorated, normals, table.feasible):
+        if tuple(family) not in table.cones:
+            cone = pts_mod.joint_cone(cfg, family, normals)
+            table.cones[tuple(family)] = (cone, cone.interior_point())
+        cone, height = table.cones[tuple(family)]
+        families.append(DecoratedFamily(
+            sorted(family), list(height), pts_mod.ConeDescription(list(cone.normals), cone.dim)))
     families.sort(key=lambda f: (-len(f.simplices), f.simplices))
     return DecorationReport(decorated, facet_pairs, families, indeterminate)
 

@@ -625,16 +625,16 @@ def _check_chosen(net, partition, chosen):
         seen.add(blocks[sp])
 
 
-def _substitution_route(net, partition, kappa, chosen):
-    """Solve the steady-state equations at exact rates ``kappa`` for the
-    non-chosen species, one at a time, each from the first equation that
-    determines it."""
+def _substitution_route(net, partition, polys, chosen):
+    """Solve the exact mass-action equations ``polys`` for the non-chosen
+    species, one at a time, each from the first equation that determines
+    it."""
     _check_chosen(net, partition, chosen)
     m = len(chosen)
     coord = {sp: i for i, sp in enumerate(chosen)}
-    polys = net.mass_action_system(kappa)
     known = {sp: {tuple(int(j == coord[sp]) for j in range(m)): Fraction(1)} for sp in chosen}
     pending = {net.index[sp] for sp in net.species if sp not in coord}
+    dead = set()  # (equation, species) pairs that can never determine it
 
     def expand(mono, coeff):
         """Expand a monomial in solved species over the chosen coordinates."""
@@ -644,14 +644,17 @@ def _substitution_route(net, partition, kappa, chosen):
                 poly = _tmul(poly, _tpow(known[sp], e, m))
         return poly
 
-    def solve(eq, vi):
-        """Species ``vi`` over the chosen coordinates from ``eq``, or None.
-        Decided from the exponents before any expansion: some term has
-        degree 1 in ``vi``, every term at most 1 and none in another
+    def solve(k, vi):
+        """Species ``vi`` over the chosen coordinates from equation ``k``, or
+        None.  Decided from the exponents before any expansion: some term
+        has degree 1 in ``vi``, every term at most 1 and none in another
         unsolved species; then the coefficient of ``vi`` must be a single
-        monomial."""
-        if not any(mono[vi] for mono in eq) or any(
-                mono[vi] > 1 or sum(mono[i] for i in pending) != mono[vi] for mono in eq):
+        monomial.  Any failure but another unsolved species is final."""
+        eq = polys[k]
+        if not any(mono[vi] for mono in eq) or any(mono[vi] > 1 for mono in eq):
+            dead.add((k, vi))
+            return None
+        if any(sum(mono[i] for i in pending) != mono[vi] for mono in eq):
             return None
         coeff, rest = {}, {}
         for mono, c in eq.items():
@@ -660,19 +663,21 @@ def _substitution_route(net, partition, kappa, chosen):
             else:
                 rest = _tadd(rest, expand(mono, c))
         if len(coeff) != 1 or not rest:
+            dead.add((k, vi))
             return None
         ((ce, cc),) = coeff.items()
         return {tuple(a - b for a, b in zip(e, ce)): -c / cc for e, c in rest.items()}
 
     while pending:
-        found = next(((vi, poly) for vi in sorted(pending) for eq in polys
-                      for poly in [solve(eq, vi)] if poly is not None), None)
+        found = next(((vi, poly) for vi in sorted(pending) for k in range(len(polys))
+                      if (k, vi) not in dead for poly in [solve(k, vi)] if poly is not None),
+                     None)
         if found is None:
             raise MessiError("sequential elimination stuck; unsolved species %r"
                              % sorted(net.species[i] for i in pending))
         known[net.species[found[0]]] = found[1]
         pending.discard(found[0])
-    return Parametrization(tuple(chosen), known, kappa)
+    return known
 
 
 def steady_state_parametrization(net, partition, kappa=None, chosen=None):
@@ -692,20 +697,22 @@ def steady_state_parametrization(net, partition, kappa=None, chosen=None):
     rates = net.rates(kappa)
     _positive_finite(rates.items(), "rate")
     rates = {k: Fraction(v) for k, v in rates.items()}
+    polys = net.mass_action_system(rates)
     try:
-        param = _substitution_route(net, partition, rates, model.chosen)
+        known = _substitution_route(net, partition, polys, model.chosen)
     except MessiError as e:
         raise MessiError("no steady-state parametrization: %s" % e, [str(e)])
-    _verify_parametrization(net, param)
+    param = Parametrization(tuple(model.chosen), known, rates)
+    _verify_parametrization(net, param, polys)
     return param
 
 
-def _verify_parametrization(net, param):
+def _verify_parametrization(net, param, polys):
     rng = random.Random(20240917)
     x = [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in param.chosen]
     vals = param.evaluate(x)
     full = [vals[sp] for sp in net.species]
-    for sp, p in zip(net.species, net.mass_action_system(param.rates)):
+    for sp, p in zip(net.species, polys):
         total = sum(c * math.prod(xv ** e for xv, e in zip(full, mono) if e)
                     for mono, c in p.items())
         if total != 0:

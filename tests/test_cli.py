@@ -146,6 +146,18 @@ def test_exit_code_bad_flags(capsys):
     assert main(["analyze", "--builtin", "nope", "--T", "1,1"]) == 2
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_exit_code_budget_not_positive(capsys, budget):
+    assert main(["witness", *HK_ARGS, "--budget", budget]) == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+def test_exit_code_seed_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("MULTISTAT_SEED", "abc")
+    assert main(["witness", *HK_ARGS]) == 2
+    assert "MULTISTAT_SEED" in capsys.readouterr().err
+
+
 def test_exit_code_hypothesis_failure(capsys):
     # a partition that breaks the structural requirements
     assert main(["analyze", *HK_ARGS, "--partition",

@@ -1,5 +1,6 @@
 """The shared family-growth routine against the loops it replaced."""
 
+import copy
 import functools
 import os
 import subprocess
@@ -8,11 +9,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multistat import cayley, points, ratlin
+from multistat import cayley, decoration, points, ratlin
 from multistat.decoration import find_decorated, is_decorated
 from multistat.messi import assemble_region_system
-from multistat.networks import hybrid_kinase, phosphorylation
+from multistat.networks import hybrid_kinase, mixed_phosphorylation, phosphorylation
 from multistat.witness import mixed_decoration
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -179,8 +182,10 @@ def test_pinned_families_and_heights(name):
     assert got == [(s, [Fraction(x) for x in h.split()]) for s, h in PINNED[name]]
 
 
-def test_phospho5_growth_time_gate():
+def test_phospho5_growth_time_gate(monkeypatch):
     r = region("phospho:5")
+    # an empty table, so the exact-LP path is what is timed
+    monkeypatch.setattr(decoration, "_TABLES", {})
     start = time.perf_counter()
     report = find_decorated(r.cfg, r.C)
     elapsed = time.perf_counter() - start
@@ -188,3 +193,78 @@ def test_phospho5_growth_time_gate():
         (s, [Fraction(x) for x in h.split()]) for s, h in PINNED["phospho:5"]]
     assert len(report.families) == 9
     assert elapsed < 5.0, elapsed
+
+
+# ---------------------------------------------------------------------------
+# the per-configuration table behind find_decorated
+# ---------------------------------------------------------------------------
+
+NETWORKS = {
+    "hk": hybrid_kinase,
+    "phospho:2": lambda: phosphorylation(2),
+    "phospho:3": lambda: phosphorylation(3),
+    "mixed-phospho": mixed_phosphorylation,
+}
+RATIONAL = st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=40)
+
+
+def cold_find_decorated(cfg, C):
+    """``find_decorated`` on an empty table: everything computed afresh."""
+    saved = decoration._TABLES
+    decoration._TABLES = {}
+    try:
+        return find_decorated(cfg, C)
+    finally:
+        decoration._TABLES = saved
+
+
+def contents(report):
+    return (report.decorated, report.facet_pairs, report.indeterminate,
+            [(f.simplices, f.height, f.cone.normals, f.cone.dim) for f in report.families])
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+@settings(max_examples=12)
+@given(data=st.data())
+def test_table_report_equals_a_cold_report(name, data):
+    net, part = NETWORKS[name]()
+    kappa = {r.rate_name: data.draw(RATIONAL, label=r.rate_name) for r in net.reactions}
+    totals = [data.draw(RATIONAL, label="T%d" % i) for i in range(1, len(part))]
+    r = assemble_region_system(net, part, kappa, totals)
+    assert contents(find_decorated(r.cfg, r.C)) == contents(cold_find_decorated(r.cfg, r.C))
+
+
+def _cfg_and_C(net, part, kappa):
+    r = assemble_region_system(net, part, kappa, [Fraction(7, 4), 1])
+    return r.cfg, r.C
+
+
+def test_new_rates_on_a_known_configuration_run_no_lp(monkeypatch):
+    net, part = hybrid_kinase()
+    kappa = dict(k1=1, k2=1, k3=2, k4=1, k5=1, k6=1)
+    monkeypatch.setattr(decoration, "_TABLES", {})
+    first = find_decorated(*_cfg_and_C(net, part, kappa))
+    cfg, C = _cfg_and_C(net, part, dict(kappa, k1=Fraction(11, 10)))
+    calls = []
+    for owner, name in [(ratlin, "strict_feasible"), (points, "cone_normals"),
+                        (points, "joint_cone"), (points, "enumerate_simplices"),
+                        (points, "shares_facet")]:
+        monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: calls.append(_name))
+    second = find_decorated(cfg, C)
+    assert calls == []
+    assert second.decorated == first.decorated
+    assert contents(second) == contents(first)
+
+
+def test_mutating_a_report_leaves_the_next_one_unchanged():
+    r = region("phospho:3")
+    report = find_decorated(r.cfg, r.C)
+    before = copy.deepcopy(contents(report))
+    report.decorated.pop()
+    report.facet_pairs.clear()
+    report.indeterminate.append((0, 1, 2, 3))
+    for f in report.families:
+        f.simplices.reverse()
+        f.height[0] += 1
+        f.cone.normals.pop()
+    assert contents(find_decorated(r.cfg, r.C)) == before
