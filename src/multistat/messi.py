@@ -41,7 +41,6 @@ __all__ = [
     "classify_complexes",
     "intermediate_coefficients",
     "tree_sum",
-    "enumerate_tree_sum",
     "build_G1",
     "build_G2",
     "layer_sets",
@@ -284,40 +283,6 @@ def tree_sum(nodes, weights, root):
             if v in idx:
                 L[idx[u]][idx[v]] -= Fraction(w)
     return ratlin.determinant(L)
-
-
-def enumerate_tree_sum(nodes, weights, root):
-    """Oracle: literal enumeration of spanning in-trees rooted at ``root``.
-    Each non-root node picks one out-edge; the choice is a tree iff every
-    node reaches the root.  Exponential; for cross-checks only."""
-    from itertools import product
-
-    out_edges = {v: [] for v in nodes}
-    for (u, v), w in weights.items():
-        if u != v and u in out_edges:
-            out_edges[u].append((v, w))
-    others = [v for v in nodes if v != root]
-    total = Fraction(0)
-    for choice in product(*(out_edges[v] for v in others)):
-        succ = dict(zip(others, (v for v, _ in choice)))
-        ok = True
-        for v in others:
-            seen = set()
-            cur = v
-            while cur != root:
-                if cur in seen or cur not in succ:
-                    ok = False
-                    break
-                seen.add(cur)
-                cur = succ[cur]
-            if not ok:
-                break
-        if ok:
-            p = Fraction(1)
-            for _, w in choice:
-                p *= Fraction(w)
-            total += p
-    return total
 
 
 def _collapsed_graph(net, partition, kappa):
@@ -635,6 +600,9 @@ def _substitution_route(net, partition, polys, chosen):
     known = {sp: {tuple(int(j == coord[sp]) for j in range(m)): Fraction(1)} for sp in chosen}
     pending = {net.index[sp] for sp in net.species if sp not in coord}
     dead = set()  # (equation, species) pairs that can never determine it
+    # pairs blocked by another unsolved species, until one of the equation's is solved
+    blocked = set()
+    occurs = [{i for mono in eq for i, e in enumerate(mono) if e} for eq in polys]
 
     def expand(mono, coeff):
         """Expand a monomial in solved species over the chosen coordinates."""
@@ -655,6 +623,7 @@ def _substitution_route(net, partition, polys, chosen):
             dead.add((k, vi))
             return None
         if any(sum(mono[i] for i in pending) != mono[vi] for mono in eq):
+            blocked.add((k, vi))
             return None
         coeff, rest = {}, {}
         for mono, c in eq.items():
@@ -670,13 +639,15 @@ def _substitution_route(net, partition, polys, chosen):
 
     while pending:
         found = next(((vi, poly) for vi in sorted(pending) for k in range(len(polys))
-                      if (k, vi) not in dead for poly in [solve(k, vi)] if poly is not None),
+                      if (k, vi) not in dead and (k, vi) not in blocked
+                      for poly in [solve(k, vi)] if poly is not None),
                      None)
         if found is None:
             raise MessiError("sequential elimination stuck; unsolved species %r"
                              % sorted(net.species[i] for i in pending))
         known[net.species[found[0]]] = found[1]
         pending.discard(found[0])
+        blocked -= {(k, vi) for k, vi in blocked if found[0] in occurs[k]}
     return known
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "enumerate_simplices",
     "shares_facet",
     "circuit_relation",
-    "simplex_cone",
     "joint_cone",
     "cone_normals",
     "extend_height",
@@ -194,12 +193,6 @@ def cone_normals(matrix, simplex):
             m[j] = R[k][r + t]
         normals.append(tuple(dI * x for x in m))
     return normals
-
-
-def simplex_cone(cfg, simplex):
-    """Cone of heights whose regular subdivision has ``simplex`` as a cell
-    with exactly its own vertices marked."""
-    return ConeDescription(cone_normals(cfg.matrix, simplex), cfg.n)
 
 
 def _dedupe(normals):

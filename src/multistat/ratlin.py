@@ -31,7 +31,6 @@ __all__ = [
     "primitive",
     "strict_feasible",
     "lp_feasible",
-    "fourier_motzkin_feasible",
     "LPError",
 ]
 
@@ -407,33 +406,3 @@ def cone_contains(normals, extra):
     A = [list(m) for m in normals] + [[-x for x in extra]]
     b = [1] * len(normals) + [0]
     return lp_feasible(A, b) is None
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination (independent oracle for strict systems)
-# ---------------------------------------------------------------------------
-
-def fourier_motzkin_feasible(normals):
-    """Feasibility of the strict homogeneous system ``<m_r, h> > 0``.
-
-    Pure Fourier-Motzkin elimination; exponential in the number of
-    variables, intended for small cross-checks only.
-    """
-    ineqs = {tuple(primitive(m)) for m in normals}
-    if any(all(x == 0 for x in m) for m in ineqs):
-        return False
-    n = len(next(iter(ineqs))) if ineqs else 0
-    for var in range(n):
-        pos = [m for m in ineqs if m[var] > 0]
-        neg = [m for m in ineqs if m[var] < 0]
-        rest = [m for m in ineqs if m[var] == 0]
-        new = set(rest)
-        for p in pos:
-            for q in neg:
-                comb = [p[var] * q[j] - q[var] * p[j] for j in range(n)]
-                comb[var] = Fraction(0)
-                if all(x == 0 for x in comb):
-                    return False  # p and q strictly conflict
-                new.add(tuple(primitive(comb)))
-        ineqs = new
-    return True

@@ -48,8 +48,6 @@ MAX_ITER = 200
 ARMIJO_LADDER = 0.5 ** np.arange(27)
 # seeds iterated together; bounds a line-search stack at 26 points per seed
 NEWTON_BLOCK = 256
-# the state of a seed in the iteration; a stopped seed is then certified
-ITERATING, STOPPED, FAILED = range(3)
 
 
 def phi_map(cfg, alpha, t, h):
@@ -141,12 +139,12 @@ class DeformedSystem:
 
     def residual(self, u):
         """Max-norm of the row-scaled residual per point; NaN if not evaluable."""
-        res = np.max(np.abs(self._scaled_term_values(u).sum(axis=-1)), axis=-1)
+        res = np.abs(self._scaled_term_values(u).sum(axis=-1)).max(axis=-1)
         return float(res) if res.ndim == 0 else res
 
     def _scaled_term_values(self, u):
         w = self.scaled_terms(u)
-        top = np.max(w, axis=-1, keepdims=True)
+        top = w.max(axis=-1, keepdims=True)
         top[~np.isfinite(top)] = np.nan
         np.exp(np.subtract(w, top, out=w), out=w)  # in place: stacks can be large
         return np.multiply(self.sign, w, out=w)
@@ -162,7 +160,7 @@ class CertifiedRoot:
     basin: str  # seed that produced the root
 
     def distinct_from(self, other):
-        return float(np.max(np.abs(self.log_x - other.log_x))) > DISTINCT_TOL
+        return float(np.abs(self.log_x - other.log_x).max()) > DISTINCT_TOL
 
 
 def newton_solve(system, seed, basin="seed"):
@@ -179,36 +177,55 @@ def newton_solve_many(system, seeds, basins):
     iteration diverges, stalls, or the final Jacobian fails the
     nondegeneracy test.  The seeds iterate together, ``NEWTON_BLOCK`` at a
     time, and each follows exactly the iteration it would follow alone.
+
+    Only the seeds still iterating are kept, in compact arrays.  The full
+    step is evaluated with its Jacobian, so an accepted full step carries
+    its residual and Jacobian into the next iteration; a shorter accepted
+    step is evaluated once more.  The certificate reuses the last ones.
     """
     if len(seeds) > NEWTON_BLOCK:
         return (newton_solve_many(system, seeds[:NEWTON_BLOCK], basins[:NEWTON_BLOCK])
                 + newton_solve_many(system, seeds[NEWTON_BLOCK:], basins[NEWTON_BLOCK:]))
     u = np.log(np.asarray(seeds, dtype=float).reshape(len(seeds), system.d))
-    step = np.full(len(u), np.inf)
-    state = np.where(np.all(np.isfinite(u), axis=1), ITERATING, FAILED)
+    # the last point of every seed with its residual and Jacobian; a failed
+    # seed gets a NaN residual
+    end_u = u.copy()
+    end_f = np.full((len(u), system.m), np.nan)
+    end_J = np.zeros((len(u), system.m, system.d))
+    ids = np.flatnonzero(np.isfinite(u).all(axis=1))
+    if ids.size == 0:
+        return [None] * len(u)
+    u = u[ids]
+    f, J = system.residual_jacobian(u)
+    step = np.full(ids.size, np.inf)
+    end_f[ids], end_J[ids] = f, J
     for _ in range(MAX_ITER):
-        idx = np.flatnonzero(state == ITERATING)
-        if idx.size == 0:
+        res = np.abs(f).max(axis=1)
+        # stopped: converged, or the last step was zero; failed: not evaluable
+        go = np.isfinite(res) & (step > 0) & ~((res < RESIDUAL_TOL) & (step < STEP_TOL))
+        ids, u, res, du = ids[go], u[go], res[go], _newton_steps(J[go], f[go])
+        ok = np.isfinite(du).all(axis=1)
+        end_f[ids[~ok]] = np.nan
+        ids, u, res, du = ids[ok], u[ok], res[ok], du[ok]
+        if ids.size == 0:
             break
-        f, J = system.residual_jacobian(u[idx])
-        res = np.max(np.abs(f), axis=1)
-        state[idx[(res < RESIDUAL_TOL) & (step[idx] < STEP_TOL)]] = STOPPED
-        state[idx[~np.isfinite(res)]] = FAILED
-        go = state[idx] == ITERATING
-        idx, res, du = idx[go], res[go], _newton_steps(J[go], f[go])
-        ok = np.all(np.isfinite(du), axis=1)
-        state[idx[~ok]] = FAILED
-        idx, res, du = idx[ok], res[ok], du[ok]
-        rung = _first_accepted(system, u[idx], du, res)
-        # no step length accepted: done if already certified, else stalled
-        stuck = rung < 0
-        state[idx[stuck]] = np.where(res[stuck] < RESIDUAL_TOL, STOPPED, FAILED)
-        idx, du, lam = idx[~stuck], du[~stuck], ARMIJO_LADDER[rung[~stuck]]
-        u[idx] = u[idx] + lam[:, None] * du
-        step[idx] = lam * np.max(np.abs(du), axis=1)
-        state[idx[step[idx] == 0.0]] = STOPPED
+        u_new = u + du
+        f, J = system.residual_jacobian(u_new)
+        new_res = np.abs(f).max(axis=1)
+        lam = np.where(_sufficient(new_res, 1.0, res), 1.0, 0.0)
+        back = np.flatnonzero(lam == 0)
+        if back.size:
+            lam[back], u_new[back] = _backtrack(system, u[back], du[back], res[back])
+            back = back[lam[back] > 0]
+            if back.size:
+                f[back], J[back] = system.residual_jacobian(u_new[back])
+        # no step length accepted: the seed stops where it is, certified or not
+        moved = lam > 0
+        ids, u, f, J = ids[moved], u_new[moved], f[moved], J[moved]
+        step = lam[moved] * np.abs(du[moved]).max(axis=1)
+        end_u[ids], end_f[ids], end_J[ids] = u, f, J
     # seeds still iterating after MAX_ITER steps are certified where they are
-    return _certify(system, u, state != FAILED, basins)
+    return _certify(end_u, end_f, end_J, basins)
 
 
 def _newton_steps(J, f):
@@ -222,40 +239,36 @@ def _newton_steps(J, f):
         return np.concatenate([_newton_steps(J[i:i + 1], f[i:i + 1]) for i in range(len(J))])
 
 
-def _first_accepted(system, u, du, res):
-    """Index into ``ARMIJO_LADDER`` of the step length that backtracking
-    from ``lam = 1`` accepts first, or -1.  Every point tries ``lam = 1``;
-    the rest of the ladder is evaluated at once for the points that fail."""
-    rung = np.full(len(u), -1)
-    todo = np.arange(len(u))
-    for lo, hi in ((0, 1), (1, len(ARMIJO_LADDER))):
-        if todo.size == 0:
-            break
-        lam = ARMIJO_LADDER[lo:hi]
-        trial = u[todo, None, :] + lam[:, None] * du[todo, None, :]
-        new_res = system.residual(trial.reshape(-1, u.shape[1])).reshape(trial.shape[:2])
-        accept = (new_res <= (1 - 1e-4 * lam) * res[todo, None]) | (new_res < RESIDUAL_TOL)
-        hit = accept.any(axis=1)
-        rung[todo[hit]] = lo + accept[hit].argmax(axis=1)
-        todo = todo[~hit]
-    return rung
+def _backtrack(system, u, du, res):
+    """Backtracking after a rejected full step: the first step length of
+    ``ARMIJO_LADDER[1:]`` that decreases the residual enough, or 0, and
+    the point it reaches.  The whole ladder is evaluated at once."""
+    lam = ARMIJO_LADDER[1:]
+    trial = u[:, None, :] + lam[:, None] * du[:, None, :]
+    new_res = system.residual(trial.reshape(-1, u.shape[1])).reshape(trial.shape[:2])
+    accept = _sufficient(new_res, lam, res[:, None])
+    rung = accept.argmax(axis=1)
+    at = np.arange(len(u))
+    return np.where(accept[at, rung], lam[rung], 0.0), trial[at, rung]
 
 
-def _certify(system, u, finished, basins):
-    """Certified roots at the rows ``finished`` of ``u``, else ``None``."""
+def _sufficient(new_res, lam, res):
+    """Armijo's test for step length ``lam``; a certified residual always
+    passes."""
+    return (new_res <= (1 - 1e-4 * lam) * res) | (new_res < RESIDUAL_TOL)
+
+
+def _certify(u, f, J, basins):
+    """Certified roots at the rows of ``u``, from their residuals ``f`` and
+    Jacobians ``J``, else ``None``."""
     roots = [None] * len(u)
-    idx = np.flatnonzero(finished)
-    if idx.size == 0:
-        return roots
-    f, J = system.residual_jacobian(u[idx])
-    res = np.max(np.abs(f), axis=1)
-    small = res < RESIDUAL_TOL
-    idx, res = idx[small], res[small]
-    for i, r, sv in zip(idx, res, np.linalg.svd(J[small], compute_uv=False)):
+    res = np.abs(f).max(axis=1)
+    idx = np.flatnonzero(res < RESIDUAL_TOL)
+    for i, sv in zip(idx, np.linalg.svd(J[idx], compute_uv=False)):
         if sv[0] == 0 or sv[-1] <= SINGULAR_TOL * sv[0]:
             continue
         roots[i] = CertifiedRoot(
-            x=np.exp(u[i]), log_x=u[i].copy(), residual=float(r),
+            x=np.exp(u[i]), log_x=u[i].copy(), residual=float(res[i]),
             sigma_min=float(sv[-1]), sigma_ratio=float(sv[-1] / sv[0]),
             basin=basins[i],
         )
@@ -328,50 +341,20 @@ def count_positive_roots(system, family=None, rng=None):
 # rectangle exclusion (two variables)
 # ---------------------------------------------------------------------------
 
-def _box_excludes(system, lo, hi):
-    """True when interval bounds prove no root inside the log-box."""
-    E = system.exponents
-    for i in range(system.m):
-        terms = []
-        top = -np.inf
-        for j in range(system.cfg.n):
-            s = system.sign[i, j]
-            if s == 0:
-                continue
-            wmin = system.logmag[i, j]
-            wmax = system.logmag[i, j]
-            for k in range(system.d):
-                e = E[j, k]
-                if e >= 0:
-                    wmin += e * lo[k]
-                    wmax += e * hi[k]
-                else:
-                    wmin += e * hi[k]
-                    wmax += e * lo[k]
-            terms.append((s, wmin, wmax))
-            top = max(top, wmax)
-        # scale the row by its largest term so the sums stay finite;
-        # only the signs of the bounds matter
-        low = 0.0
-        high = 0.0
-        for s, wmin, wmax in terms:
-            if s > 0:
-                low += math.exp(wmin - top)
-                high += math.exp(wmax - top)
-            else:
-                low -= math.exp(wmax - top)
-                high -= math.exp(wmin - top)
-        if low > 0 or high < 0:
-            return True
-    return False
-
-
 def exclusion_boxes(system, lo=None, hi=None, max_depth=16):
     """Adaptive rectangle subdivision for two-variable systems.
 
     Returns the log-coordinate boxes that interval bounds could not
     exclude; every positive root inside the initial box lies in one of
     them.  Exponential worst case, so depth-limited.
+
+    All boxes of one depth are tested at once, and each survivor is
+    replaced by its upper half followed by its lower half; every returned
+    box lies at ``max_depth``, so the list is in depth-first order, upper
+    half first.  Each bound is ``log|c| + e_0 x_0 + e_1 x_1`` at the corner
+    that minimizes or maximizes the term, and each row sums its terms in
+    column order, scaled by its largest term so the sums stay finite; only
+    the signs of the two sums matter.
     """
     if system.d != 2:
         raise ValueError("exclusion sweep is implemented for two variables")
@@ -379,24 +362,31 @@ def exclusion_boxes(system, lo=None, hi=None, max_depth=16):
         lo = [math.log(1e-8)] * 2
     if hi is None:
         hi = [math.log(1e8)] * 2
-    stack = [(tuple(lo), tuple(hi), 0)]
-    out = []
-    while stack:
-        lo, hi, depth = stack.pop()
-        if _box_excludes(system, lo, hi):
-            continue
-        if depth >= max_depth:
-            out.append((lo, hi))
-            continue
-        k = 0 if hi[0] - lo[0] >= hi[1] - lo[1] else 1
-        mid = 0.5 * (lo[k] + hi[k])
-        a_hi = list(hi)
-        a_hi[k] = mid
-        b_lo = list(lo)
-        b_lo[k] = mid
-        stack.append((lo, tuple(a_hi), depth + 1))
-        stack.append((tuple(b_lo), hi, depth + 1))
-    return out
+    box = np.array([[lo, hi]], dtype=float)  # (boxes, lo/hi, coordinate)
+    E = system.exponents
+    rising = E >= 0
+    positive = system.sign > 0
+    depth = 0
+    with np.errstate(invalid="ignore"):  # a row without terms: NaN sums exclude nothing
+        while len(box):
+            # (boxes, min/max corner, term, coordinate), then bounds per row
+            x = np.where(rising, box[:, :, None, :], box[:, ::-1, None, :]) * E
+            w = system.logmag + x[:, :, None, :, 0] + x[:, :, None, :, 1]
+            v = np.exp(w - w[:, 1].max(axis=-1, keepdims=True)[:, None])
+            # lower and upper bound terms: a negative term bounds with the other corner
+            s = np.cumsum(np.where(positive, v, -v[:, ::-1]), axis=-1)[..., -1]
+            box = box[~((s[:, 0] > 0) | (s[:, 1] < 0)).any(axis=1)]
+            if depth >= max_depth:
+                break
+            width = box[:, 1] - box[:, 0]
+            k = (width[:, 0] < width[:, 1]).astype(int)
+            at = np.arange(len(box))
+            mid = 0.5 * (box[at, 0, k] + box[at, 1, k])
+            box = np.repeat(box, 2, axis=0)
+            box[2 * at, 0, k] = mid
+            box[2 * at + 1, 1, k] = mid
+            depth += 1
+    return [(tuple(l), tuple(h)) for l, h in box.tolist()]
 
 
 def _solve_boxes(system, boxes):

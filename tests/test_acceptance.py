@@ -21,7 +21,6 @@ from multistat.messi import (
     assemble_region_system,
     intermediate_coefficients,
     build_G2,
-    enumerate_tree_sum,
     layer_sets,
     rescale_back,
     steady_state_parametrization,
@@ -43,6 +42,7 @@ from multistat.witness import (
     phi_map,
     validate_root_set,
 )
+from oracles import enumerate_tree_sum
 
 HK_KAPPA = dict(k1=1, k2=1, k3=2, k4=1, k5=1, k6=1)
 

