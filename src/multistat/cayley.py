@@ -19,7 +19,6 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import points as pts_mod
 from . import ratlin
 from .decoration import IndeterminateSign, _sign
 
@@ -28,9 +27,10 @@ __all__ = [
     "cayley_configuration",
     "enumerate_mixed_simplices",
     "exponent_matrix",
+    "local_pairs",
+    "mixed_decorated",
     "is_mixed_decorated",
     "solve_binomial",
-    "mixed_joint_cone",
     "mixed_positive_solution",
 ]
 
@@ -115,26 +115,44 @@ def _block_pairs(cay, simplex):
 
 def exponent_matrix(cay, simplex):
     """Rows ``a_{j1} - a_{j2}`` (first d coordinates), one per block."""
-    rows = []
-    for j1, j2 in _block_pairs(cay, simplex):
-        rows.append(tuple(cay.points[j1][k] - cay.points[j2][k] for k in range(cay.d)))
-    return rows
+    return [tuple(cay.points[j1][k] - cay.points[j2][k] for k in range(cay.d))
+            for j1, j2 in _block_pairs(cay, simplex)]
+
+
+def local_pairs(cay, simplex):
+    """Per block, the local indices of the two points a mixed simplex picks."""
+    return tuple((cay.local_index(j1), cay.local_index(j2))
+                 for j1, j2 in _block_pairs(cay, simplex))
+
+
+def mixed_decorated(coeffs, simplices_pairs):
+    """Per mixed simplex (its :func:`local_pairs`): whether the two picked
+    coefficients of every block, ``coeffs[i]`` for block ``i``, have strictly
+    opposite signs.  Each sign is decided once, when first needed; a float
+    coefficient at most 1e-9 times the equation's largest in magnitude
+    raises :class:`IndeterminateSign`."""
+    signs = {}
+
+    def sign(i, k):
+        if (i, k) not in signs:
+            c = coeffs[i][k]
+            signs[i, k] = (_sign(c, max(abs(float(x)) for x in coeffs[i]))
+                           if isinstance(c, float) else _sign(c))
+        return signs[i, k]
+
+    def decorated(pairs):
+        for i, (k1, k2) in enumerate(pairs):
+            s1, s2 = sign(i, k1), sign(i, k2)
+            if s1 == 0 or s2 == 0 or s1 == s2:
+                return False
+        return True
+
+    return [decorated(pairs) for pairs in simplices_pairs]
 
 
 def is_mixed_decorated(cay, coeffs, simplex):
-    """Whether the two coefficients picked in every block have strictly
-    opposite signs.  ``coeffs[i]`` lists equation ``i``'s coefficients over
-    the points of block ``i``.  Float signs use a relative threshold and
-    raise :class:`IndeterminateSign` when too close to zero."""
-    for i, (j1, j2) in enumerate(_block_pairs(cay, simplex)):
-        c1 = coeffs[i][cay.local_index(j1)]
-        c2 = coeffs[i][cay.local_index(j2)]
-        scale = max(abs(float(c1)), abs(float(c2)), *(abs(float(c)) for c in coeffs[i]))
-        s1 = _sign(c1, scale) if isinstance(c1, float) else _sign(c1)
-        s2 = _sign(c2, scale) if isinstance(c2, float) else _sign(c2)
-        if s1 == 0 or s2 == 0 or s1 == s2:
-            return False
-    return True
+    """:func:`mixed_decorated` for one simplex."""
+    return mixed_decorated(coeffs, [local_pairs(cay, simplex)])[0]
 
 
 def solve_binomial(M, beta):
@@ -157,16 +175,7 @@ def mixed_positive_solution(cay, coeffs, simplex):
     ``c_{i,j1} x^{a_{j1}} + c_{i,j2} x^{a_{j2}} = 0``."""
     if not is_mixed_decorated(cay, coeffs, simplex):
         raise ValueError("simplex is not mixed-decorated")
-    M = exponent_matrix(cay, simplex)
-    beta = []
-    for i, (j1, j2) in enumerate(_block_pairs(cay, simplex)):
-        c1 = float(coeffs[i][cay.local_index(j1)])
-        c2 = float(coeffs[i][cay.local_index(j2)])
-        beta.append(-c2 / c1)
-    return solve_binomial(M, beta)
+    beta = [-float(coeffs[i][k2]) / float(coeffs[i][k1])
+            for i, (k1, k2) in enumerate(local_pairs(cay, simplex))]
+    return solve_binomial(exponent_matrix(cay, simplex), beta)
 
-
-def mixed_joint_cone(cay, simplices, normals=None):
-    """Heights on the Cayley points selecting every mixed simplex at once;
-    ``normals[s]``, when given, are the cone normals of ``s``."""
-    return pts_mod.joint_cone(cay, simplices, normals)

@@ -172,26 +172,60 @@ def grow_families(decorated, normals, feasible):
 
 @dataclass
 class _Table:
-    """What :func:`find_decorated` derives from the points alone, shared by
-    every coefficient matrix on them and filled on demand: the simplices,
-    cone normals, facet adjacency, growth verdicts (keyed by the set of
-    candidate primitive normals) and family cones with their exact heights
-    (keyed by the family in growth order)."""
+    """What one route derives from a support alone, filled on demand and
+    shared by every coefficient matrix on it: the configuration (points or
+    Cayley), its simplices (mixed ones with :func:`cayley.local_pairs`), cone
+    normals, facet adjacency, growth verdicts (keyed by the set of candidate
+    primitive normals), the families of each decorated set, and family cones
+    with heights (keyed by the family as passed).  ``lp`` names the certified
+    :mod:`ratlin` LP that decides verdicts and heights."""
 
+    config: object
     simplices: tuple
+    lp: str
+    local_pairs: tuple = ()
     normals: dict = field(default_factory=dict)
     facets: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
+    families: dict = field(default_factory=dict)
     cones: dict = field(default_factory=dict)
 
     def feasible(self, cand):
         key = frozenset(cand)
         if key not in self.verdicts:
-            self.verdicts[key] = ratlin.strict_feasible(cand) is not None
+            self.verdicts[key] = getattr(ratlin, self.lp)(cand) is not None
         return True if self.verdicts[key] else None
 
+    def grow(self, decorated):
+        """The families :func:`grow_families` grows from ``decorated``."""
+        key = tuple(decorated)
+        if key not in self.families:
+            self.normals.update({s: tuple(pts_mod.cone_normals(self.config.matrix, s))
+                                 for s in decorated if s not in self.normals})
+            self.families[key] = grow_families(decorated, self.normals, self.feasible)
+        return self.families[key]
 
-_TABLES = {}  # tuple(cfg.points) -> _Table
+    def cone(self, family):
+        """A fresh copy of the height and the joint cone of ``family``."""
+        key = tuple(family)
+        if key not in self.cones:
+            cone = pts_mod.joint_cone(self.config, family, self.normals)
+            height = getattr(ratlin, self.lp)(cone.normals)
+            if height is None:
+                raise ratlin.LPError("no height for the certified family %s" % (family,))
+            self.cones[key] = (cone, height)
+        cone, height = self.cones[key]
+        return list(height), pts_mod.ConeDescription(list(cone.normals), cone.dim)
+
+
+_TABLES = {}  # (route, support) -> _Table
+
+
+def _table(key, build):
+    """The table of ``key``, built by ``build()`` on first use."""
+    if key not in _TABLES:
+        _TABLES[key] = build()
+    return _TABLES[key]
 
 
 def find_decorated(cfg, C):
@@ -202,11 +236,9 @@ def find_decorated(cfg, C):
     in lexicographic order, every check decided exactly (integer
     certificates, then the exact LP); each carries a rational witness
     height from the exact LP on its joint cone.  All but the decoration is
-    kept per configuration (:class:`_Table`); the report holds copies.
-    """
-    table = _TABLES.get(tuple(cfg.points))
-    if table is None:
-        table = _TABLES[tuple(cfg.points)] = _Table(tuple(pts_mod.enumerate_simplices(cfg)))
+    kept per configuration (:class:`_Table`); the report holds copies."""
+    table = _table(("points", tuple(cfg.points)), lambda: _Table(
+        cfg, tuple(pts_mod.enumerate_simplices(cfg)), "strict_feasible"))
     decorated, indeterminate = [], []
     for s in table.simplices:
         try:
@@ -220,18 +252,8 @@ def find_decorated(cfg, C):
             table.facets[pair] = pts_mod.shares_facet(cfg, *pair)
         if table.facets[pair]:
             facet_pairs.append(pair)
-    normals = table.normals
-    for s in decorated:
-        if s not in normals:
-            normals[s] = tuple(pts_mod.cone_normals(cfg.matrix, s))
-    families = []
-    for family in grow_families(decorated, normals, table.feasible):
-        if tuple(family) not in table.cones:
-            cone = pts_mod.joint_cone(cfg, family, normals)
-            table.cones[tuple(family)] = (cone, cone.interior_point())
-        cone, height = table.cones[tuple(family)]
-        families.append(DecoratedFamily(
-            sorted(family), list(height), pts_mod.ConeDescription(list(cone.normals), cone.dim)))
+    families = [DecoratedFamily(sorted(family), *table.cone(family))
+                for family in table.grow(decorated)]
     families.sort(key=lambda f: (-len(f.simplices), f.simplices))
     return DecorationReport(decorated, facet_pairs, families, indeterminate)
 

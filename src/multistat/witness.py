@@ -13,6 +13,7 @@ adaptive rectangle-exclusion sweep that bounds the risk of missed roots.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import os
@@ -23,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import cayley, decoration, messi, ratlin
-from . import points as points_mod
 
 __all__ = [
     "phi_map",
@@ -525,20 +525,13 @@ def _attach_network(report, context):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class MixedFamily:
-    simplices: list  # jointly realizable mixed-decorated simplices
-    height: list  # interior point of the joint cone, one entry per point
-    cone: object
-
-
-@dataclass
 class MixedDecorationReport:
     cayley: object
     coeffs: list  # equation i's coefficients over block i's points
     columns: list  # global point index -> column of the region system
     mixed: list  # all mixed simplices
     decorated: list  # the mixed-decorated ones
-    families: list  # MixedFamily list, largest first
+    families: list  # DecoratedFamily list over the Cayley points, largest first
 
     @property
     def best(self):
@@ -548,46 +541,37 @@ class MixedDecorationReport:
 def mixed_decoration(cfg, C):
     """Cayley view of a square system: block ``i`` holds the support of
     equation ``i``; mixed simplices pick two points per block and are
-    decorated when the picked coefficients have opposite signs."""
+    decorated when the picked coefficients have opposite signs.  All but the
+    decoration is kept per tuple of blocks in :func:`decoration._table`,
+    with float-accelerated LPs; the report holds copies."""
     blocks, coeffs, columns = [], [], []
     for row in C:
         support = [j for j, c in enumerate(row) if float(c) != 0.0]
-        blocks.append([cfg.points[j] for j in support])
+        blocks.append(tuple(cfg.points[j] for j in support))
         coeffs.append([row[j] for j in support])
         columns.extend(support)
-    cay = cayley.cayley_configuration(blocks)
-    mixed = cayley.enumerate_mixed_simplices(cay)
-    decorated = [s for s in mixed if cayley.is_mixed_decorated(cay, coeffs, s)]
-    normals = {s: points_mod.cone_normals(cay.matrix, s) for s in decorated}
-    families = []
-    for family in decoration.grow_families(decorated, normals, ratlin.strict_feasible_fast):
-        family = sorted(family)
-        cone = cayley.mixed_joint_cone(cay, family, normals)
-        h = ratlin.strict_feasible_fast(cone.normals)
-        if h is None:
-            raise ratlin.LPError("no height for the certified mixed family %s" % (family,))
-        families.append(MixedFamily(family, h, cone))
+    table = decoration._table(("cayley", tuple(blocks)), lambda: _mixed_table(blocks))
+    decorated = [s for s, ok in zip(table.simplices, cayley.mixed_decorated(
+        coeffs, table.local_pairs)) if ok]
+    families = [decoration.DecoratedFamily(family, *table.cone(family))
+                for family in map(sorted, table.grow(decorated))]
     families.sort(key=lambda f: (-len(f.simplices), f.simplices))
-    return MixedDecorationReport(cay, coeffs, columns, mixed, decorated, families)
+    return MixedDecorationReport(copy.deepcopy(table.config), coeffs, columns,
+                                 list(table.simplices), decorated, families)
 
 
-def _mixed_height_matrix(report, h, m, n):
-    """Spread a height vector over Cayley points into one height per
-    coefficient of the region system."""
-    H = np.zeros((m, n))
-    for g, hj in enumerate(h):
-        i = report.cayley.block_of(g)
-        H[i, report.columns[g]] = float(hj)
-    return H
+def _mixed_table(blocks):
+    cay = cayley.cayley_configuration(blocks)
+    mixed = tuple(cayley.enumerate_mixed_simplices(cay))
+    return decoration._Table(cay, mixed, "strict_feasible_fast",
+                             tuple(cayley.local_pairs(cay, s) for s in mixed))
 
 
 def _mixed_simplex_seed(system, report, simplex):
     """Positive root of the deformed binomial subsystem of a mixed
     simplex, solved in logarithms."""
-    cay = report.cayley
-    M = []
-    rhs = []
-    for i, (j1, j2) in enumerate(cayley._block_pairs(cay, simplex)):
+    M, rhs = [], []
+    for i, (j1, j2) in enumerate(cayley._block_pairs(report.cayley, simplex)):
         c1, c2 = report.columns[j1], report.columns[j2]
         if system.sign[i, c1] == 0 or system.sign[i, c1] == system.sign[i, c2]:
             return None
@@ -616,7 +600,10 @@ def mixed_witness_search(cfg, C, report=None, family=None, budget=60, rng=None):
         raise ValueError("no realizable mixed-decorated family")
     if rng is None:
         rng = _default_rng()
-    H = _mixed_height_matrix(report, family.height, len(C), cfg.n)
+    # one height per coefficient of the region system
+    H = np.zeros((len(C), cfg.n))
+    for g, hj in enumerate(family.height):
+        H[report.cayley.block_of(g), report.columns[g]] = float(hj)
     p = len(family.simplices)
     log = []
     for step in range(1, budget + 1):

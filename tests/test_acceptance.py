@@ -208,7 +208,7 @@ HK_MIXED_NORMALS = [
 def test_acceptance_4_mixed_cone_equality():
     start = time.monotonic()
     cay = cayley.cayley_configuration(HK_BLOCKS)
-    cone = cayley.mixed_joint_cone(cay, HK_MIXED_SIMPLICES)
+    cone = joint_cone(cay, HK_MIXED_SIMPLICES)
     # same feasible set as the reference list of eight normals: every
     # inequality of each description holds throughout the other cone
     for m in HK_MIXED_NORMALS:

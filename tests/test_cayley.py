@@ -4,14 +4,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multistat import cayley, ratlin
+from multistat import cayley, decoration, points, ratlin
 from multistat.cayley import (
     cayley_configuration,
     enumerate_mixed_simplices,
     exponent_matrix,
     is_mixed_decorated,
-    mixed_joint_cone,
     mixed_positive_solution,
     solve_binomial,
 )
@@ -103,9 +104,45 @@ def test_mixed_decoration_rejects_same_sign_pair():
     assert not is_mixed_decorated(cay, coeffs, (0, 1, 4, 7))
 
 
+def reference_is_mixed_decorated(cay, coeffs, simplex):
+    """The one-simplex check before signs were decided once per call."""
+    for i, (j1, j2) in enumerate(cayley._block_pairs(cay, simplex)):
+        c1 = coeffs[i][cay.local_index(j1)]
+        c2 = coeffs[i][cay.local_index(j2)]
+        scale = max(abs(float(c1)), abs(float(c2)), *(abs(float(c)) for c in coeffs[i]))
+        s1 = decoration._sign(c1, scale) if isinstance(c1, float) else decoration._sign(c1)
+        s2 = decoration._sign(c2, scale) if isinstance(c2, float) else decoration._sign(c2)
+        if s1 == 0 or s2 == 0 or s1 == s2:
+            return False
+    return True
+
+
+def outcome(check):
+    try:
+        return check()
+    except decoration.IndeterminateSign as e:
+        return "raised: %s" % e
+
+
+# exact signs, zeros, and floats whose sign is decided or indeterminate
+COEFF = st.one_of(st.integers(-2, 2).map(Fraction),
+                  st.sampled_from([1.0, -2.5, 0.0, 1e-12, -3e-10, 4e-9]))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(COEFF, min_size=4, max_size=4), min_size=2, max_size=2))
+def test_memoized_signs_match_the_one_simplex_check(coeffs):
+    cay = cayley_configuration(HK_BLOCKS)
+    simplices = enumerate_mixed_simplices(cay)
+    pairs = [cayley.local_pairs(cay, s) for s in simplices]
+    expected = outcome(lambda: [reference_is_mixed_decorated(cay, coeffs, s) for s in simplices])
+    assert outcome(lambda: cayley.mixed_decorated(coeffs, pairs)) == expected
+    assert outcome(lambda: [is_mixed_decorated(cay, coeffs, s) for s in simplices]) == expected
+
+
 def test_mixed_cone_matches_reference_normals():
     cay = cayley_configuration(HK_BLOCKS)
-    cone = mixed_joint_cone(cay, HK_MIXED)
+    cone = points.joint_cone(cay, HK_MIXED)
     # two-way inclusion checked by exact LP
     for m in HK_MIXED_NORMALS:
         assert ratlin.cone_contains(cone.normals, m)
@@ -117,7 +154,7 @@ def test_mixed_cone_matches_reference_normals():
 
 def test_mixed_cone_normals_annihilated_by_cayley_matrix():
     cay = cayley_configuration(HK_BLOCKS)
-    cone = mixed_joint_cone(cay, HK_MIXED)
+    cone = points.joint_cone(cay, HK_MIXED)
     for m in cone.normals:
         for row in cay.matrix:
             assert sum(a * x for a, x in zip(row, m)) == 0

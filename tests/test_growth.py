@@ -87,7 +87,7 @@ def reference_mixed_families(cay, decorated):
         if key in seen:
             continue
         seen.add(key)
-        cone = cayley.mixed_joint_cone(cay, sorted(family))
+        cone = points.joint_cone(cay, sorted(family))
         h = ratlin.strict_feasible_fast(cone.normals)
         if h is None:
             continue
@@ -250,7 +250,7 @@ def test_new_rates_on_a_known_configuration_run_no_lp(monkeypatch):
     calls = []
     for owner, name in [(ratlin, "strict_feasible"), (points, "cone_normals"),
                         (points, "joint_cone"), (points, "enumerate_simplices"),
-                        (points, "shares_facet")]:
+                        (points, "shares_facet"), (decoration, "grow_families")]:
         monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: calls.append(_name))
     second = find_decorated(cfg, C)
     assert calls == []
@@ -270,3 +270,76 @@ def test_mutating_a_report_leaves_the_next_one_unchanged():
         f.height[0] += 1
         f.cone.normals.pop()
     assert contents(find_decorated(r.cfg, r.C)) == before
+
+
+# ---------------------------------------------------------------------------
+# the mixed route in the same table
+# ---------------------------------------------------------------------------
+
+def cold_mixed_decoration(cfg, C):
+    """``mixed_decoration`` on an empty table: everything computed afresh."""
+    saved = decoration._TABLES
+    decoration._TABLES = {}
+    try:
+        return mixed_decoration(cfg, C)
+    finally:
+        decoration._TABLES = saved
+
+
+def mixed_contents(report):
+    cay = report.cayley
+    return (report.mixed, report.decorated, report.coeffs, report.columns,
+            cay.blocks, cay.points, cay.matrix, cay.offsets,
+            [(f.simplices, f.height, f.cone.normals, f.cone.dim) for f in report.families])
+
+
+# no shrinking, as for the find_decorated twin above
+@pytest.mark.parametrize("name", ["hk", "phospho:2", "mixed-phospho"])
+@settings(max_examples=6, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
+@given(data=st.data())
+def test_table_mixed_report_equals_a_cold_report(name, data):
+    net, part = NETWORKS[name]()
+    kappa = {r.rate_name: data.draw(RATIONAL, label=r.rate_name) for r in net.reactions}
+    totals = [data.draw(RATIONAL, label="T%d" % i) for i in range(1, len(part))]
+    r = assemble_region_system(net, part, kappa, totals)
+    assert mixed_contents(mixed_decoration(r.cfg, r.C)) == mixed_contents(
+        cold_mixed_decoration(r.cfg, r.C))
+
+
+def test_new_rates_on_a_known_support_run_no_mixed_structure(monkeypatch):
+    net, part = hybrid_kinase()
+    kappa = dict(k1=1, k2=1, k3=2, k4=1, k5=1, k6=1)
+    monkeypatch.setattr(decoration, "_TABLES", {})
+    first = mixed_decoration(*_cfg_and_C(net, part, kappa))
+    cfg, C = _cfg_and_C(net, part, dict(kappa, k1=Fraction(11, 10)))
+    calls = []
+    for owner, name in [(ratlin, "strict_feasible_fast"), (ratlin, "strict_feasible"),
+                        (points, "cone_normals"), (points, "joint_cone"),
+                        (cayley, "enumerate_mixed_simplices"),
+                        (cayley, "cayley_configuration"), (decoration, "grow_families")]:
+        monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: calls.append(_name))
+    second = mixed_decoration(cfg, C)
+    assert calls == []
+    assert second.coeffs != first.coeffs
+    assert mixed_contents(second)[4:] == mixed_contents(first)[4:]
+    assert (second.mixed, second.decorated) == (first.mixed, first.decorated)
+
+
+def test_mutating_a_mixed_report_leaves_the_next_one_unchanged():
+    r = region("phospho:2")
+    report = mixed_decoration(r.cfg, r.C)
+    before = copy.deepcopy(mixed_contents(report))
+    report.mixed.pop()
+    report.decorated.pop()
+    report.coeffs[0].reverse()
+    report.columns.reverse()
+    cay = report.cayley
+    cay.blocks[0].pop()
+    cay.points.pop()
+    cay.matrix[0].reverse()
+    cay.offsets.reverse()
+    for f in report.families:
+        f.simplices.reverse()
+        f.height[0] += 1
+        f.cone.normals.pop()
+    assert mixed_contents(mixed_decoration(r.cfg, r.C)) == before

@@ -222,6 +222,9 @@ def plain_system(points, C):
     return DeformedSystem(PointConfiguration(points), C, [0] * len(points), 1.0)
 
 
+NEAR_MINUS_ONE = Fraction(-1) + Fraction(2, 10 ** 11)
+SUBNORMAL = Fraction(1, 10 ** 321)
+
 # seeded exits that random draws reach rarely
 RARE_EXITS = [
     # zero step: x = 1 is an exact root, so f and the step vanish exactly
@@ -234,6 +237,12 @@ RARE_EXITS = [
     # before y, so the residual keeps the vanishing y term)
     (plain_system([(1, 0), (0, 0), (0, 1), (1, 1)], [[1, -1, 1, 0], [1, -1, -1, 0]]),
      [np.array([2.0, 0.5])]),
+    # non-finite step at a certified residual: at x = (1, 1) each row is
+    # 1e-11 off a double root, so its large terms cancel exactly in the
+    # Jacobian and only a subnormal term of the other coordinate is left
+    (plain_system([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)],
+                  [[NEAR_MINUS_ONE, 2, -1, SUBNORMAL, 0], [NEAR_MINUS_ONE, SUBNORMAL, 0, 2, -1]]),
+     [np.ones(2)]),
 ]
 
 
@@ -245,6 +254,7 @@ def test_stacked_newton_matches_one_seed_at_a_time():
     @example(RARE_EXITS[0])
     @example(RARE_EXITS[1])
     @example(RARE_EXITS[2])
+    @example(RARE_EXITS[3])
     def check(case):
         system, seeds = case
         basins = ["seed %d" % i for i in range(len(seeds))]
@@ -259,6 +269,35 @@ def test_stacked_newton_matches_one_seed_at_a_time():
     check()
     # every exit is reached, by the seeded examples at least
     assert all(exits[e] > 0 for e in EXITS), exits
+
+
+def test_a_non_finite_step_at_a_certified_residual_fails():
+    system, seeds = RARE_EXITS[3]
+    f, J = system.residual_jacobian(np.log(seeds[0]))
+    # certifiable where it stands: residual below the bound, Jacobian
+    # well conditioned (but subnormal), so only the step rejects it
+    sv = np.linalg.svd(J, compute_uv=False)
+    assert np.abs(f).max() < witness.RESIDUAL_TOL and sv[-1] > witness.SINGULAR_TOL * sv[0]
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(np.linalg.solve(J, -f)).all()
+        assert newton_solve_many(system, seeds, ["seed"]) == [None]
+        assert reference_newton(system, seeds[0], "seed") == (None, "non-finite step")
+
+
+# seeds of -2 + x = 0 that Newton certifies after exactly k iterations
+LAST_ITERATION_SEEDS = {1: 2.000001, 2: 2.001, 3: 2.1, 4: 3.0, 5: 5.0, 6: 10.0}
+
+
+@pytest.mark.parametrize("max_iter", sorted(LAST_ITERATION_SEEDS))
+def test_a_seed_is_certified_on_the_last_allowed_iteration(monkeypatch, max_iter):
+    system = plain_system([(0,), (1,), (2,)], [[-2, 1, 0]])
+    seed = np.array([LAST_ITERATION_SEEDS[max_iter]])
+    for allowed, certified in [(max_iter, True), (max_iter - 1, False)]:
+        monkeypatch.setattr(witness, "MAX_ITER", allowed)
+        root = newton_solve_many(system, [seed], ["seed"])[0]
+        alone, how = reference_newton(system, seed, "seed")
+        assert (root is not None) == certified and how == "MAX_ITER"
+        assert same_root(root, alone)
 
 
 def test_stacked_evaluation_marks_failed_points():
