@@ -255,6 +255,9 @@ def cmd_analyze(args):
 def cmd_witness(args):
     if args.budget < 1:
         raise CliError("--budget must be a positive integer, not %d" % args.budget, EXIT_PARSE)
+    if args.budget > witness.MAX_BUDGET:
+        raise CliError("--budget must be at most %d (a smaller t is 0 in doubles), not %d"
+                       % (witness.MAX_BUDGET, args.budget), EXIT_PARSE)
     seed = os.environ.get("MULTISTAT_SEED", "0")
     try:
         int(seed)
@@ -468,7 +471,7 @@ def build_parser():
     p = sub.add_parser("witness", help="analysis plus certified root search")
     _add_network_options(p)
     p.add_argument("--budget", type=int, default=60,
-                   help="schedule depth: t runs over 2^-1 .. 2^-budget")
+                   help="schedule depth, 1 to 1074: t runs over 2^-1 .. 2^-budget")
     p.add_argument("--mixed", action="store_true",
                    help="use the Cayley/mixed-simplex route")
     p.set_defaults(func=cmd_witness)

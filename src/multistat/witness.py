@@ -48,6 +48,7 @@ MAX_ITER = 200
 ARMIJO_LADDER = 0.5 ** np.arange(27)
 # seeds iterated together; bounds a line-search stack at 26 points per seed
 NEWTON_BLOCK = 256
+MAX_BUDGET = 1074  # the longest schedule: 2^-1075 is 0 in doubles
 
 
 def phi_map(cfg, alpha, t, h):
@@ -72,6 +73,14 @@ def phi_map(cfg, alpha, t, h):
     return gamma
 
 
+def _row_max(a):
+    """``a.max(axis=-1)`` by elementwise maxima: exact, and fast on short rows."""
+    top = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(top, a[..., j], out=top)
+    return top
+
+
 def _log_abs(c):
     """``log|c|`` of a nonzero coefficient, also for an exact one outside
     the double range (from its integer numerator and denominator)."""
@@ -92,14 +101,18 @@ class DeformedSystem:
     stays finite even when ``t^{h_j}`` leaves the double range; every
     residual is scaled row-wise by the largest term magnitude.  Evaluations
     take a point ``u`` of shape ``(d,)`` or a stack ``(k, d)`` of them.
+
+    A sequence of values of ``t`` makes a stack of systems: ``logmag`` has
+    shape ``(K, m, n)``, and evaluations take each point's system in ``which``.
     """
 
     def __init__(self, cfg, C, h, t):
-        if not 0 < t <= 1:
+        ts = [float(v) for v in t] if np.ndim(t) else [float(t)]
+        if not all(0 < v <= 1 for v in ts):
             raise ValueError("t must lie in (0, 1]")
+        self.t = ts if np.ndim(t) else ts[0]
         self.cfg = cfg
         self.C = C
-        self.t = float(t)
         self.d = cfg.d
         self.m = len(C)
         # one height per column, or one per coefficient (mixed route)
@@ -107,26 +120,27 @@ class DeformedSystem:
         if H.ndim == 1:
             H = np.broadcast_to(H, (self.m, cfg.n))
         self.h = H
-        logt = math.log(self.t) if self.t != 1.0 else 0.0
         self.exponents = np.array(cfg.points, dtype=float)
         sign = np.zeros((self.m, cfg.n))
-        logmag = np.full((self.m, cfg.n), -np.inf)
+        base = np.full((self.m, cfg.n), -np.inf)
         for i, row in enumerate(C):
             for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                sign[i, j] = 1.0 if c > 0 else -1.0
-                logmag[i, j] = _log_abs(c) + H[i, j] * logt
+                if c != 0:
+                    sign[i, j], base[i, j] = (1.0 if c > 0 else -1.0), _log_abs(c)
         self.sign = sign
-        self.logmag = logmag
+        # math.log: np.log may round differently
+        logt = np.array([math.log(v) for v in ts])
+        logmag = base + H * logt[:, None, None]
+        self.logmag = logmag if np.ndim(t) else logmag[0]
 
-    def scaled_terms(self, u):
+    def scaled_terms(self, u, which=None):
         """Per-row term log-magnitudes ``log|c_ij t^{h_j}| + <a_j, u>``."""
         u = np.asarray(u, dtype=float)
+        logmag = self.logmag if self.logmag.ndim == 2 else self.logmag[which]
         # one matrix-vector product per point: stacked points round as alone
-        return self.logmag + np.matmul(self.exponents, u[..., None])[..., None, :, 0]
+        return logmag + np.matmul(self.exponents, u[..., None])[..., None, :, 0]
 
-    def residual_jacobian(self, u):
+    def residual_jacobian(self, u, which=None):
         """Row-scaled residual vector and Jacobian at ``u = log x``.
 
         Each row is divided by its largest term magnitude, so a residual
@@ -134,17 +148,17 @@ class DeformedSystem:
         certificates are invariant under row and coordinate scalings.  A
         point with a row that has no finite largest term gets NaN values.
         """
-        terms = self._scaled_term_values(u)
+        terms = self._scaled_term_values(u, which)
         return terms.sum(axis=-1), terms @ self.exponents
 
-    def residual(self, u):
+    def residual(self, u, which=None):
         """Max-norm of the row-scaled residual per point; NaN if not evaluable."""
-        res = np.abs(self._scaled_term_values(u).sum(axis=-1)).max(axis=-1)
+        res = _row_max(np.abs(self._scaled_term_values(u, which).sum(axis=-1)))
         return float(res) if res.ndim == 0 else res
 
-    def _scaled_term_values(self, u):
-        w = self.scaled_terms(u)
-        top = w.max(axis=-1, keepdims=True)
+    def _scaled_term_values(self, u, which=None):
+        w = self.scaled_terms(u, which)
+        top = _row_max(w)[..., None]
         top[~np.isfinite(top)] = np.nan
         np.exp(np.subtract(w, top, out=w), out=w)  # in place: stacks can be large
         return np.multiply(self.sign, w, out=w)
@@ -168,7 +182,7 @@ def newton_solve(system, seed, basin="seed"):
     return newton_solve_many(system, [seed], [basin])[0]
 
 
-def newton_solve_many(system, seeds, basins):
+def newton_solve_many(system, seeds, basins, which=None):
     """Damped Newton iteration in log coordinates from each positive seed.
 
     Armijo backtracking on the scaled residual keeps iterates finite;
@@ -176,16 +190,19 @@ def newton_solve_many(system, seeds, basins):
     one entry per seed: its :class:`CertifiedRoot`, or ``None`` when the
     iteration diverges, stalls, or the final Jacobian fails the
     nondegeneracy test.  The seeds iterate together, ``NEWTON_BLOCK`` at a
-    time, and each follows exactly the iteration it would follow alone.
+    time, and each follows exactly the iteration it would follow alone; on
+    a stack of systems ``which`` gives each seed's system.
 
-    Only the seeds still iterating are kept, in compact arrays.  The full
-    step is evaluated with its Jacobian, so an accepted full step carries
-    its residual and Jacobian into the next iteration; a shorter accepted
-    step is evaluated once more.  The certificate reuses the last ones.
+    An accepted step, full or shorter, keeps the residual and Jacobian of the
+    evaluation that accepted it, and the certificate reuses the last ones.
+    A seed back, bit for bit, at its point of two steps before would repeat
+    that 2-cycle until ``MAX_ITER``; it stops at once, where ``MAX_ITER`` would.
     """
+    which = np.zeros(len(seeds), dtype=int) if which is None else np.asarray(which)
     if len(seeds) > NEWTON_BLOCK:
-        return (newton_solve_many(system, seeds[:NEWTON_BLOCK], basins[:NEWTON_BLOCK])
-                + newton_solve_many(system, seeds[NEWTON_BLOCK:], basins[NEWTON_BLOCK:]))
+        cut = NEWTON_BLOCK
+        return (newton_solve_many(system, seeds[:cut], basins[:cut], which[:cut])
+                + newton_solve_many(system, seeds[cut:], basins[cut:], which[cut:]))
     u = np.log(np.asarray(seeds, dtype=float).reshape(len(seeds), system.d))
     # the last point of every seed with its residual and Jacobian; a failed
     # seed gets a NaN residual
@@ -193,37 +210,45 @@ def newton_solve_many(system, seeds, basins):
     end_f = np.full((len(u), system.m), np.nan)
     end_J = np.zeros((len(u), system.m, system.d))
     ids = np.flatnonzero(np.isfinite(u).all(axis=1))
-    if ids.size == 0:
-        return [None] * len(u)
-    u = u[ids]
-    f, J = system.residual_jacobian(u)
-    step = np.full(ids.size, np.inf)
+    u, which = u[ids], which[ids]
+    f, J = system.residual_jacobian(u, which)
     end_f[ids], end_J[ids] = f, J
-    for _ in range(MAX_ITER):
-        res = np.abs(f).max(axis=1)
-        # stopped: converged, or the last step was zero; failed: not evaluable
-        go = np.isfinite(res) & (step > 0) & ~((res < RESIDUAL_TOL) & (step < STEP_TOL))
-        ids, u, res, du = ids[go], u[go], res[go], _newton_steps(J[go], f[go])
-        ok = np.isfinite(du).all(axis=1)
-        end_f[ids[~ok]] = np.nan
-        ids, u, res, du = ids[ok], u[ok], res[ok], du[ok]
+    res = _row_max(np.abs(f))
+    step, prev = np.full(ids.size, np.inf), np.full(u.shape, np.nan)
+    live = np.isfinite(res)  # a seed that is not evaluable fails where it is
+    for it in range(MAX_ITER):
+        if not live.all():
+            keep = np.flatnonzero(live)
+            ids, which, prev, u, f, J, res, step = (
+                a[keep] for a in (ids, which, prev, u, f, J, res, step))
         if ids.size == 0:
             break
+        du = _newton_steps(J, f)
+        ok = np.isfinite(du).all(axis=1)
+        du[~ok] = 0.0  # evaluated harmlessly, then failed
         u_new = u + du
-        f, J = system.residual_jacobian(u_new)
-        new_res = np.abs(f).max(axis=1)
-        lam = np.where(_sufficient(new_res, 1.0, res), 1.0, 0.0)
-        back = np.flatnonzero(lam == 0)
+        f_new, J_new = system.residual_jacobian(u_new, which)
+        res_new = _row_max(np.abs(f_new))
+        lam = np.where(ok & _sufficient(res_new, 1.0, res), 1.0, 0.0)
+        back = np.flatnonzero(ok & (lam == 0))
         if back.size:
-            lam[back], u_new[back] = _backtrack(system, u[back], du[back], res[back])
-            back = back[lam[back] > 0]
-            if back.size:
-                f[back], J[back] = system.residual_jacobian(u_new[back])
-        # no step length accepted: the seed stops where it is, certified or not
-        moved = lam > 0
-        ids, u, f, J = ids[moved], u_new[moved], f[moved], J[moved]
-        step = lam[moved] * np.abs(du[moved]).max(axis=1)
-        end_u[ids], end_f[ids], end_J[ids] = u, f, J
+            lam[back], u_new[back], f_new[back], J_new[back], res_new[back] = _backtrack(
+                system, u[back], du[back], res[back], which[back])
+        step_new = lam * _row_max(np.abs(du))
+        # stopped: no step length accepted, converged, or the step was zero
+        stay = lam == 0
+        live = ~stay & (step_new > 0) & ~((res_new < RESIDUAL_TOL) & (step_new < STEP_TOL))
+        # a 2-cycle would run on to MAX_ITER, so it stops now: at the new
+        # point if an even number of iterations is left, else where it is
+        cycle = live & (u_new.view(np.int64) == prev.view(np.int64)).all(axis=1)
+        live &= ~cycle
+        if (MAX_ITER - it) % 2 == 0:
+            stay |= cycle
+        if stay.any():  # where it is, certified or not, unless its step failed
+            u_new[stay], f_new[stay], J_new[stay] = u[stay], f[stay], J[stay]
+            f_new[~ok] = np.nan
+        end_u[ids], end_f[ids], end_J[ids] = u_new, f_new, J_new
+        prev, u, f, J, res, step = u, u_new, f_new, J_new, res_new, step_new
     # seeds still iterating after MAX_ITER steps are certified where they are
     return _certify(end_u, end_f, end_J, basins)
 
@@ -239,22 +264,25 @@ def _newton_steps(J, f):
         return np.concatenate([_newton_steps(J[i:i + 1], f[i:i + 1]) for i in range(len(J))])
 
 
-def _backtrack(system, u, du, res):
+def _backtrack(system, u, du, res, which):
     """Backtracking after a rejected full step: the first step length of
-    ``ARMIJO_LADDER[1:]`` that decreases the residual enough, or 0, and
-    the point it reaches.  The whole ladder is evaluated at once."""
+    ``ARMIJO_LADDER[1:]`` that decreases the residual enough, or 0, and the
+    point it reaches with its residual vector, Jacobian and max-norm
+    residual, all from one evaluation of the whole ladder."""
     lam = ARMIJO_LADDER[1:]
     trial = u[:, None, :] + lam[:, None] * du[:, None, :]
-    new_res = system.residual(trial.reshape(-1, u.shape[1])).reshape(trial.shape[:2])
+    terms = system._scaled_term_values(trial, which[:, None])
+    f = terms.sum(axis=-1)
+    new_res = _row_max(np.abs(f))
     accept = _sufficient(new_res, lam, res[:, None])
     rung = accept.argmax(axis=1)
     at = np.arange(len(u))
-    return np.where(accept[at, rung], lam[rung], 0.0), trial[at, rung]
+    return (np.where(accept[at, rung], lam[rung], 0.0), trial[at, rung], f[at, rung],
+            terms[at, rung] @ system.exponents, new_res[at, rung])
 
 
 def _sufficient(new_res, lam, res):
-    """Armijo's test for step length ``lam``; a certified residual always
-    passes."""
+    """Armijo's test for step length ``lam``; a certified residual always passes."""
     return (new_res <= (1 - 1e-4 * lam) * res) | (new_res < RESIDUAL_TOL)
 
 
@@ -262,7 +290,7 @@ def _certify(u, f, J, basins):
     """Certified roots at the rows of ``u``, from their residuals ``f`` and
     Jacobians ``J``, else ``None``."""
     roots = [None] * len(u)
-    res = np.abs(f).max(axis=1)
+    res = _row_max(np.abs(f))
     idx = np.flatnonzero(res < RESIDUAL_TOL)
     for i, sv in zip(idx, np.linalg.svd(J[idx], compute_uv=False)):
         if sv[0] == 0 or sv[-1] <= SINGULAR_TOL * sv[0]:
@@ -317,12 +345,16 @@ def _lattice_seeds(d, rng):
     return seeds
 
 
-def _distinct_roots(system, seeds, rng):
-    """Distinct roots from the ``(basin, seed or None)`` pairs, then the lattice."""
-    seeds = [(b, s) for b, s in seeds if s is not None] + [
+def _with_lattice(system, seeds, rng):
+    """The ``(basin, seed or None)`` pairs that have a seed, then the lattice."""
+    return [(b, s) for b, s in seeds if s is not None] + [
         ("lattice %d" % i, s) for i, s in enumerate(_lattice_seeds(system.d, rng))]
+
+
+def _distinct(found):
+    """The certified roots among ``found`` not within ``DISTINCT_TOL`` of an earlier one."""
     roots = []
-    for root in newton_solve_many(system, [s for _, s in seeds], [b for b, _ in seeds]):
+    for root in found:
         if root is not None and all(root.distinct_from(r) for r in roots):
             roots.append(root)
     return roots
@@ -333,8 +365,9 @@ def count_positive_roots(system, family=None, rng=None):
     seeds plus a logarithmic lattice; deduplicated by log-coordinate
     max-norm, earlier seeds win ties."""
     simplices = family.simplices if family is not None else []
-    return _distinct_roots(
-        system, [("simplex %s" % (tuple(s),), _simplex_seed(system, s)) for s in simplices], rng)
+    seeds = _with_lattice(system, [
+        ("simplex %s" % (tuple(s),), _simplex_seed(system, s)) for s in simplices], rng)
+    return _distinct(newton_solve_many(system, [s for _, s in seeds], [b for b, _ in seeds]))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +405,7 @@ def exclusion_boxes(system, lo=None, hi=None, max_depth=16):
             # (boxes, min/max corner, term, coordinate), then bounds per row
             x = np.where(rising, box[:, :, None, :], box[:, ::-1, None, :]) * E
             w = system.logmag + x[:, :, None, :, 0] + x[:, :, None, :, 1]
-            v = np.exp(w - w[:, 1].max(axis=-1, keepdims=True)[:, None])
+            v = np.exp(w - _row_max(w[:, 1])[:, None, :, None])
             # lower and upper bound terms: a negative term bounds with the other corner
             s = np.cumsum(np.where(positive, v, -v[:, ::-1]), axis=-1)[..., -1]
             box = box[~((s[:, 0] > 0) | (s[:, 1] < 0)).any(axis=1)]
@@ -458,28 +491,44 @@ def witness_search(cfg, C, family, h=None, budget=60, rng=None, context=None):
         h = family.height
     if h is None:
         raise ValueError("family has no realizable height")
-    hf = [float(v) for v in h]
-    if rng is None:
-        rng = _default_rng()
+    report = _schedule(cfg, C, family, list(h), h, budget, rng, "simplex", _simplex_seed)
+    if report.status == "success" and context is not None:
+        _attach_network(report, context)
+    return report
+
+
+def _schedule(cfg, C, family, height, H, budget, rng, label, seed_of):
+    """The decreasing-t search of both routes: heights ``H`` per column or
+    per coefficient, and at each step a seed ``seed_of(system, simplex)``
+    per simplex of ``family``, then the lattice.  Steps run 1, 2, 4, ... at
+    a time in one Newton stack of at most ``NEWTON_BLOCK // 2`` seeds and
+    are judged in order; each draws its lattice jitter in step order, so
+    the report is that of one step at a time (``rng`` may be read further)."""
+    if budget > MAX_BUDGET:
+        raise ValueError("budget must be at most %d: a smaller t is 0 in doubles" % MAX_BUDGET)
+    rng = _default_rng() if rng is None else rng
     p = len(family.simplices)
-    log = []
-    for step in range(1, budget + 1):
-        t = 2.0 ** -step
-        system = DeformedSystem(cfg, C, hf, t)
-        roots = count_positive_roots(system, family, rng)
-        log.append((t, len(roots)))
-        if len(roots) >= p:
-            report = WitnessReport(
-                status="success", family=family, height=list(h),
-                t_star=t, gamma=[t ** v for v in hf], roots=roots, log=log,
-            )
-            if context is not None:
-                _attach_network(report, context)
-            return report
-    return WitnessReport(
-        status="exhausted", family=family, height=list(h),
-        t_star=None, gamma=None, roots=[], log=log,
-    )
+    most = max(1, NEWTON_BLOCK // 2 // (p + 5 ** cfg.d))
+    log, first, k = [], 1, 1
+    while first <= budget:
+        ts = [2.0 ** -step for step in range(first, min(first + k, budget + 1))]
+        stack = DeformedSystem(cfg, C, H, ts)
+        seeds, which = [], []
+        for i in range(len(ts)):
+            system = copy.copy(stack)  # the step's own system
+            system.t, system.logmag = ts[i], stack.logmag[i]
+            pairs = _with_lattice(system, [("%s %s" % (label, tuple(s)), seed_of(system, s))
+                                           for s in family.simplices], rng)
+            seeds, which = seeds + pairs, which + [i] * len(pairs)
+        found = newton_solve_many(stack, [s for _, s in seeds], [b for b, _ in seeds], which)
+        for i, t in enumerate(ts):
+            roots = _distinct(r for r, w in zip(found, which) if w == i)
+            log.append((t, len(roots)))
+            if len(roots) >= p:
+                return WitnessReport("success", family, height, t,
+                                     [t ** float(v) for v in height], roots, log)
+        first, k = first + len(ts), min(2 * k, most)
+    return WitnessReport("exhausted", family, height, None, None, [], log)
 
 
 def _default_rng():
@@ -492,29 +541,18 @@ def _attach_network(report, context):
     certified root to a full concentration vector, re-validated against
     the conservation laws."""
     net, partition, kappa, totals, region = context
-    res = messi.rescale_back(
-        net, partition, kappa, totals, report.gamma, region=region
-    )
-    report.rescale = res
-    report.kappa_bar = res.kappa_bar
-    report.chosen_scale = res.chosen_scale
-    param_bar = res.region.parametrization
-    laws = region.laws
+    res = messi.rescale_back(net, partition, kappa, totals, report.gamma, region=region)
+    report.rescale, report.kappa_bar, report.chosen_scale = res, res.kappa_bar, res.chosen_scale
     species_roots = []
     for root in report.roots:
-        xbar = [
-            res.chosen_scale[sp] * float(v)
-            for sp, v in zip(region.chosen, root.x)
-        ]
-        vals = param_bar.evaluate(xbar)
+        xbar = [res.chosen_scale[sp] * float(v) for sp, v in zip(region.chosen, root.x)]
+        vals = res.region.parametrization.evaluate(xbar)
         vec = [float(vals[sp]) for sp in net.species]
-        for law, T in zip(laws, totals):
+        for law, T in zip(region.laws, totals):
             total = sum(float(l) * v for l, v in zip(law, vec))
             if abs(total - float(T)) > 1e-8 * max(abs(float(T)), 1.0):
-                raise ArithmeticError(
-                    "mapped root violates a conservation law "
-                    "(got %g, expected %g)" % (total, float(T))
-                )
+                raise ArithmeticError("mapped root violates a conservation law "
+                                      "(got %g, expected %g)" % (total, float(T)))
         species_roots.append(dict(zip(net.species, vec)))
     report.species_roots = species_roots
     return report
@@ -598,33 +636,12 @@ def mixed_witness_search(cfg, C, report=None, family=None, budget=60, rng=None):
         family = report.best
     if family is None or family.height is None:
         raise ValueError("no realizable mixed-decorated family")
-    if rng is None:
-        rng = _default_rng()
     # one height per coefficient of the region system
     H = np.zeros((len(C), cfg.n))
     for g, hj in enumerate(family.height):
         H[report.cayley.block_of(g), report.columns[g]] = float(hj)
-    p = len(family.simplices)
-    log = []
-    for step in range(1, budget + 1):
-        t = 2.0 ** -step
-        system = DeformedSystem(cfg, C, H, t)
-        roots = _distinct_roots(system, [
-            ("mixed simplex %s" % (tuple(s),), _mixed_simplex_seed(system, report, s))
-            for s in family.simplices], rng)
-        log.append((t, len(roots)))
-        if len(roots) >= p:
-            return WitnessReport(
-                status="success", family=family,
-                height=[float(v) for v in family.height],
-                t_star=t, gamma=[t ** float(v) for v in family.height],
-                roots=roots, log=log,
-            )
-    return WitnessReport(
-        status="exhausted", family=family,
-        height=[float(v) for v in family.height],
-        t_star=None, gamma=None, roots=[], log=log,
-    )
+    return _schedule(cfg, C, family, [float(v) for v in family.height], H, budget, rng,
+                     "mixed simplex", lambda system, s: _mixed_simplex_seed(system, report, s))
 
 
 def certify_multistationarity(net, partition, kappa, totals, chosen=None,

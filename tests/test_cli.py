@@ -152,6 +152,13 @@ def test_exit_code_budget_not_positive(capsys, budget):
     assert "--budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mixed", [[], ["--mixed"]])
+def test_exit_code_budget_past_the_smallest_double(capsys, mixed):
+    # t = 2^-1075 rounds to 0, so the schedule cannot reach it
+    assert main(["witness", *HK_ARGS, "--budget", "1075", *mixed]) == 2
+    assert "--budget must be at most 1074" in capsys.readouterr().err
+
+
 def test_exit_code_seed_not_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("MULTISTAT_SEED", "abc")
     assert main(["witness", *HK_ARGS]) == 2

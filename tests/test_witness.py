@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multistat.decoration import find_decorated
-from multistat.messi import assemble_region_system
+from multistat.messi import assemble_region_system, rescale_back
 from multistat.networks import hybrid_kinase, phosphorylation
 from multistat.points import PointConfiguration, joint_cone
 from multistat.ratlin import kernel_basis
@@ -243,6 +243,14 @@ RARE_EXITS = [
     (plain_system([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)],
                   [[NEAR_MINUS_ONE, 2, -1, SUBNORMAL, 0], [NEAR_MINUS_ONE, SUBNORMAL, 0, 2, -1]]),
      [np.ones(2)]),
+    # MAX_ITER by an exact 2-cycle: a region system of hk at t = 2^-8 whose
+    # iterates alternate, bit for bit, between two points at a residual of
+    # 7e-16 with steps of 1.4e-14 after 10 iterations
+    (DeformedSystem(PointConfiguration([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]),
+                    [[Fraction(-17, 8), 0, 1, 1, Fraction(39, 40)],
+                     [-1, 1, 0, Fraction(4, 7), Fraction(3, 7)]],
+                    [Fraction(-1, 2), 1, 1, Fraction(1, 2), 1], 2.0 ** -8),
+     [np.array([4.531583637600819, 33.98208328942561])]),
 ]
 
 
@@ -255,6 +263,7 @@ def test_stacked_newton_matches_one_seed_at_a_time():
     @example(RARE_EXITS[1])
     @example(RARE_EXITS[2])
     @example(RARE_EXITS[3])
+    @example(RARE_EXITS[4])
     def check(case):
         system, seeds = case
         basins = ["seed %d" % i for i in range(len(seeds))]
@@ -298,6 +307,26 @@ def test_a_seed_is_certified_on_the_last_allowed_iteration(monkeypatch, max_iter
         alone, how = reference_newton(system, seed, "seed")
         assert (root is not None) == certified and how == "MAX_ITER"
         assert same_root(root, alone)
+
+
+@pytest.mark.parametrize("max_iter", [12, 13, 30, 31, 200, 201])
+def test_a_seed_in_an_exact_two_cycle_stops_where_max_iter_would(monkeypatch, max_iter):
+    system, seeds = RARE_EXITS[4]
+    iterations = []
+    newton_steps = witness._newton_steps
+    monkeypatch.setattr(witness, "MAX_ITER", max_iter)
+    monkeypatch.setattr(witness, "_newton_steps",
+                        lambda J, f: iterations.append(len(J)) or newton_steps(J, f))
+    root = newton_solve_many(system, seeds, ["seed"])[0]
+    alone, how = reference_newton(system, seeds[0], "seed")
+    assert how == "MAX_ITER" and root is not None
+    assert same_root(root, alone)
+    # the cycle is caught on its second point, long before MAX_ITER
+    assert len(iterations) == 11
+    # the two points of the cycle differ: the parity of MAX_ITER picks one
+    monkeypatch.setattr(witness, "MAX_ITER", max_iter + 1)
+    other = newton_solve_many(system, seeds, ["seed"])[0]
+    assert other.log_x.tobytes() != root.log_x.tobytes()
 
 
 def test_stacked_evaluation_marks_failed_points():
@@ -506,6 +535,150 @@ def test_mapped_roots_satisfy_conservation_laws():
         for law, T in zip(laws, HK_TOTALS):
             total = sum(float(l) * v for l, v in zip(law, vals))
             assert abs(total - float(T)) < 1e-8 * max(float(T), 1.0)
+
+
+def test_witness_search_rejects_a_budget_past_the_smallest_double():
+    _, _, region = hk_region()
+    family = find_decorated(region.cfg, region.C).best
+    assert witness_search(region.cfg, region.C, family, budget=1074).t_star == 2.0 ** -7
+    with pytest.raises(ValueError, match="at most 1074"):
+        witness_search(region.cfg, region.C, family, budget=1075)
+    with pytest.raises(ValueError, match="at most 1074"):
+        witness.mixed_witness_search(region.cfg, region.C, budget=1075)
+
+
+def test_a_stack_of_systems_evaluates_as_each_system():
+    _, system, family = hk_system_and_family()
+    ts = [2.0 ** -k for k in (1, 7, 300)]
+    stack = DeformedSystem(system.cfg, system.C, family.height, ts)
+    u = np.log(np.array([[1.5, 0.25], [2.0, 3.0], [0.125, 7.0]]))
+    f, J = stack.residual_jacobian(u, [2, 0, 1])
+    for k, (t, row) in enumerate(zip(ts, [1, 2, 0])):
+        one = DeformedSystem(system.cfg, system.C, family.height, t)
+        assert stack.logmag[k].tobytes() == one.logmag.tobytes()
+        f1, J1 = one.residual_jacobian(u[row])
+        assert f1.tobytes() == f[row].tobytes() and J1.tobytes() == J[row].tobytes()
+
+
+def test_the_schedule_stacks_1_2_4_steps_up_to_half_a_newton_block(monkeypatch):
+    stacks = []
+    solve = witness.newton_solve_many
+
+    def spy(system, seeds, basins, which=None):
+        stacks.append((len(seeds), len(set(which))))
+        return solve(system, seeds, basins, which)
+
+    monkeypatch.setattr(witness, "newton_solve_many", spy)
+    _, _, region = hk_region()
+    report = witness_search(region.cfg, region.C, find_decorated(region.cfg, region.C).best)
+    # t* = 2^-7: steps 1 | 2, 3 | 4..7, each of 3 simplex and 25 lattice seeds
+    assert report.t_star == 2.0 ** -7
+    assert stacks == [(28, 1), (56, 2), (112, 4)]
+    # in three variables one step has 125 lattice seeds: no step is speculative
+    stacks.clear()
+    _, report = certify_multistationarity(*phosphorylation(2), phospho_kappa(2), [1, 1, 3])
+    assert len(stacks) == len(report.log) and all(k == 1 for _, k in stacks)
+
+
+def reference_schedule(cfg, C, family, H, seeds_of, budget, rng):
+    """The decreasing-t search one step at a time, as the stacked schedule
+    must reproduce it: t*, the roots at t* and the log."""
+    log = []
+    for step in range(1, budget + 1):
+        t = 2.0 ** -step
+        system = DeformedSystem(cfg, C, H, t)
+        pairs = [(b, s) for b, s in seeds_of(system) if s is not None]
+        pairs += [("lattice %d" % i, s)
+                  for i, s in enumerate(witness._lattice_seeds(cfg.d, rng))]
+        roots = []
+        for root in newton_solve_many(system, [s for _, s in pairs], [b for b, _ in pairs]):
+            if root is not None and all(root.distinct_from(r) for r in roots):
+                roots.append(root)
+        log.append((t, len(roots)))
+        if len(roots) >= len(family.simplices):
+            return t, roots, log
+    return None, [], log
+
+
+def assert_same_search(report, family, reference):
+    t_star, roots, log = reference
+    assert report.status == ("exhausted" if t_star is None else "success")
+    assert (report.t_star, report.log, report.family.simplices) == (t_star, log, family.simplices)
+    assert len(report.roots) == len(roots)
+    for a, b in zip(report.roots, roots):
+        assert (a.x.tobytes(), a.log_x.tobytes(), a.basin) == (b.x.tobytes(), b.log_x.tobytes(),
+                                                               b.basin)
+
+
+RATE = st.builds(Fraction, st.integers(1, 24), st.integers(1, 24))
+# within a factor 4/6..8/6 of the acceptance values, where hk has families of 3
+NEAR = st.builds(Fraction, st.integers(4, 8), st.just(6))
+SCHEDULE_BUDGET = st.one_of(st.integers(1, 6), st.just(60))
+NETWORKS = {"hk": (hybrid_kinase(), HK_KAPPA, HK_TOTALS),
+            "phospho:2": (phosphorylation(2), phospho_kappa(2), [1, 1, 3])}
+
+
+@st.composite
+def network_inputs(draw, name):
+    (net, part), kappa, totals = NETWORKS[name]
+    if draw(st.booleans()):
+        kappa = {k: v * draw(NEAR) for k, v in kappa.items()}
+        totals = [v * draw(NEAR) for v in totals]
+    else:
+        kappa = {k: draw(RATE) for k in kappa}
+        totals = [draw(RATE) for _ in totals]
+    return net, part, kappa, totals, draw(SCHEDULE_BUDGET), draw(st.integers(0, 2 ** 32))
+
+
+@pytest.mark.parametrize("name, examples", [("hk", 30), ("phospho:2", 5)])
+def test_stacked_schedule_equals_the_step_by_step_one(name, examples):
+    @settings(max_examples=examples)
+    @given(network_inputs(name))
+    def check(case):
+        net, part, kappa, totals, budget, seed = case
+        decor, report = certify_multistationarity(net, part, kappa, totals, budget=budget,
+                                                  rng=random.Random(seed))
+        family = decor.best
+        if family is None:
+            assert report is None
+            return
+        region = report.region
+        reference = reference_schedule(
+            region.cfg, region.C, family, [float(v) for v in family.height],
+            lambda system: [("simplex %s" % (tuple(s),), witness._simplex_seed(system, s))
+                            for s in family.simplices], budget, random.Random(seed))
+        assert_same_search(report, family, reference)
+        if report.status == "success":
+            gamma = [report.t_star ** float(v) for v in family.height]
+            kappa_bar = rescale_back(net, part, kappa, totals, gamma, region=region).kappa_bar
+            assert report.kappa_bar == kappa_bar
+
+    check()
+
+
+@pytest.mark.parametrize("name, examples", [("hk", 8), ("phospho:2", 4)])
+def test_stacked_mixed_schedule_equals_the_step_by_step_one(name, examples):
+    @settings(max_examples=examples)
+    @given(network_inputs(name))
+    def check(case):
+        net, part, kappa, totals, budget, seed = case
+        region = assemble_region_system(net, part, kappa, totals)
+        mixed = witness.mixed_decoration(region.cfg, region.C)
+        family = mixed.best
+        assume(family is not None)
+        report = witness.mixed_witness_search(region.cfg, region.C, mixed, budget=budget,
+                                              rng=random.Random(seed))
+        H = np.zeros((len(region.C), region.cfg.n))
+        for g, hj in enumerate(family.height):
+            H[mixed.cayley.block_of(g), mixed.columns[g]] = float(hj)
+        reference = reference_schedule(
+            region.cfg, region.C, family, H,
+            lambda system: [("mixed simplex %s" % (tuple(s),),
+                             witness._mixed_simplex_seed(system, mixed, s))
+                            for s in family.simplices], budget, random.Random(seed))
+        assert_same_search(report, family, reference)
+
+    check()
 
 
 def test_certify_pipeline_small_total_ratio():
