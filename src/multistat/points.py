@@ -26,11 +26,9 @@ __all__ = [
     "PointConfiguration",
     "Subdivision",
     "ConeDescription",
-    "Circuit",
     "build_matrix",
     "enumerate_simplices",
     "shares_facet",
-    "circuit_relation",
     "joint_cone",
     "cone_normals",
     "extend_height",
@@ -111,43 +109,6 @@ def shares_facet(cfg, s1, s2):
 
     vi, vj = ev(i), ev(j)
     return vi != 0 and vj != 0 and (vi > 0) != (vj > 0)
-
-
-@dataclass(frozen=True)
-class Circuit:
-    support: tuple
-    relation: tuple  # affine relation, indexed like support
-    positive: tuple  # indices into support with relation > 0
-    negative: tuple
-    is_circuit: bool  # all relation entries nonzero
-
-    def triangulations(self):
-        """The two triangulations of a circuit: for each sign class, the
-        simplices obtained by dropping one point of that class."""
-        if not self.is_circuit:
-            raise ValueError("not a circuit (some relation entries vanish)")
-        plus = [tuple(p for p in self.support if p != self.support[i]) for i in self.positive]
-        minus = [tuple(p for p in self.support if p != self.support[i]) for i in self.negative]
-        return plus, minus
-
-
-def circuit_relation(cfg, support):
-    """The (unique up to sign) affine relation on ``d+2`` points, normalized
-    so the first nonzero entry is positive."""
-    support = tuple(support)
-    if len(support) != cfg.d + 2:
-        raise ValueError("a circuit support has d+2 points")
-    ker = ratlin.kernel_basis(cfg.submatrix(support))
-    if len(ker) != 1:
-        raise ValueError("points do not affinely span R^d")
-    lam = ker[0]
-    first = next(x for x in lam if x != 0)
-    if first < 0:
-        lam = [-x for x in lam]
-    lam = tuple(lam)
-    pos = tuple(k for k, x in enumerate(lam) if x > 0)
-    neg = tuple(k for k, x in enumerate(lam) if x < 0)
-    return Circuit(support, lam, pos, neg, all(x != 0 for x in lam))
 
 
 @dataclass

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import cayley, decoration, messi, ratlin
 
@@ -193,10 +194,14 @@ def newton_solve_many(system, seeds, basins, which=None):
     time, and each follows exactly the iteration it would follow alone; on
     a stack of systems ``which`` gives each seed's system.
 
-    An accepted step, full or shorter, keeps the residual and Jacobian of the
-    evaluation that accepted it, and the certificate reuses the last ones.
-    A seed back, bit for bit, at its point of two steps before would repeat
-    that 2-cycle until ``MAX_ITER``; it stops at once, where ``MAX_ITER`` would.
+    A step takes the first length of ``ARMIJO_LADDER`` that Armijo's test
+    accepts: if every live seed's last step was damped, from one evaluation
+    of the whole ladder (:func:`_ladder`), else from the full step and, for
+    the seeds it fails, the rest of the ladder.  An accepted point keeps the
+    residual and Jacobian that accepted it, and the certificate reuses the
+    last ones.  A seed back, bit for bit, at its point of two steps before
+    repeats that 2-cycle until ``MAX_ITER``; it stops at once, where
+    ``MAX_ITER`` would.
     """
     which = np.zeros(len(seeds), dtype=int) if which is None else np.asarray(which)
     if len(seeds) > NEWTON_BLOCK:
@@ -204,40 +209,47 @@ def newton_solve_many(system, seeds, basins, which=None):
         return (newton_solve_many(system, seeds[:cut], basins[:cut], which[:cut])
                 + newton_solve_many(system, seeds[cut:], basins[cut:], which[cut:]))
     u = np.log(np.asarray(seeds, dtype=float).reshape(len(seeds), system.d))
-    # the last point of every seed with its residual and Jacobian; a failed
-    # seed gets a NaN residual
+    # the last point of every seed with its residual and Jacobian, written
+    # when it stops; a failed seed gets a NaN residual
     end_u = u.copy()
     end_f = np.full((len(u), system.m), np.nan)
     end_J = np.zeros((len(u), system.m, system.d))
     ids = np.flatnonzero(np.isfinite(u).all(axis=1))
     u, which = u[ids], which[ids]
     f, J = system.residual_jacobian(u, which)
-    end_f[ids], end_J[ids] = f, J
     res = _row_max(np.abs(f))
-    step, prev = np.full(ids.size, np.inf), np.full(u.shape, np.nan)
+    prev, damped = np.full(u.shape, np.nan), np.zeros(ids.size, dtype=bool)
     live = np.isfinite(res)  # a seed that is not evaluable fails where it is
     for it in range(MAX_ITER):
         if not live.all():
-            keep = np.flatnonzero(live)
-            ids, which, prev, u, f, J, res, step = (
-                a[keep] for a in (ids, which, prev, u, f, J, res, step))
+            gone, keep = ids[~live], np.flatnonzero(live)
+            end_u[gone], end_f[gone], end_J[gone] = u[~live], f[~live], J[~live]
+            ids, which, prev, u, f, J, res, damped = (
+                a[keep] for a in (ids, which, prev, u, f, J, res, damped))
         if ids.size == 0:
             break
         du = _newton_steps(J, f)
         ok = np.isfinite(du).all(axis=1)
-        du[~ok] = 0.0  # evaluated harmlessly, then failed
-        u_new = u + du
-        f_new, J_new = system.residual_jacobian(u_new, which)
-        res_new = _row_max(np.abs(f_new))
-        lam = np.where(ok & _sufficient(res_new, 1.0, res), 1.0, 0.0)
-        back = np.flatnonzero(ok & (lam == 0))
-        if back.size:
-            lam[back], u_new[back], f_new[back], J_new[back], res_new[back] = _backtrack(
-                system, u[back], du[back], res[back], which[back])
-        step_new = lam * _row_max(np.abs(du))
+        failed = not ok.all()
+        if failed:  # evaluated harmlessly, then failed where it is
+            du[~ok], f[~ok] = 0.0, np.nan
+        if damped.all():
+            lam, u_new, f_new, J_new, res_new = _ladder(system, u, du, res, which, ARMIJO_LADDER)
+        else:
+            u_new = u + du
+            f_new, J_new = system.residual_jacobian(u_new, which)
+            res_new = _row_max(np.abs(f_new))
+            lam = np.where(_sufficient(res_new, 1.0, res), 1.0, 0.0)
+            back = np.flatnonzero(ok & (lam == 0))
+            if back.size:
+                lam[back], u_new[back], f_new[back], J_new[back], res_new[back] = _ladder(
+                    system, u[back], du[back], res[back], which[back], ARMIJO_LADDER[1:])
+        if failed:
+            lam[~ok] = 0.0
+        step = lam * _row_max(np.abs(du))
         # stopped: no step length accepted, converged, or the step was zero
         stay = lam == 0
-        live = ~stay & (step_new > 0) & ~((res_new < RESIDUAL_TOL) & (step_new < STEP_TOL))
+        live = ~stay & (step > 0) & ~((res_new < RESIDUAL_TOL) & (step < STEP_TOL))
         # a 2-cycle would run on to MAX_ITER, so it stops now: at the new
         # point if an even number of iterations is left, else where it is
         cycle = live & (u_new.view(np.int64) == prev.view(np.int64)).all(axis=1)
@@ -246,39 +258,36 @@ def newton_solve_many(system, seeds, basins, which=None):
             stay |= cycle
         if stay.any():  # where it is, certified or not, unless its step failed
             u_new[stay], f_new[stay], J_new[stay] = u[stay], f[stay], J[stay]
-            f_new[~ok] = np.nan
-        end_u[ids], end_f[ids], end_J[ids] = u_new, f_new, J_new
-        prev, u, f, J, res, step = u, u_new, f_new, J_new, res_new, step_new
+        prev, u, f, J, res, damped = u, u_new, f_new, J_new, res_new, lam < 1
     # seeds still iterating after MAX_ITER steps are certified where they are
+    end_u[ids], end_f[ids], end_J[ids] = u, f, J
     return _certify(end_u, end_f, end_J, basins)
 
 
 def _newton_steps(J, f):
-    """Solutions of ``J du = -f``; a stack holding a singular ``J`` is
-    solved one system at a time, with NaN rows for the singular ones."""
-    try:
-        return np.linalg.solve(J, -f[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(J) == 1:
-            return np.full(f.shape, np.nan)
-        return np.concatenate([_newton_steps(J[i:i + 1], f[i:i + 1]) for i in range(len(J))])
+    """Solutions of ``J du = -f``, one per point of a stack, from the gufunc
+    that ``np.linalg.solve`` calls; a singular ``J`` gives a NaN row."""
+    # the settings of np.linalg.solve, except that a singular J is no error
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(J, -f[..., None], signature="dd->d")[..., 0]
 
 
-def _backtrack(system, u, du, res, which):
-    """Backtracking after a rejected full step: the first step length of
-    ``ARMIJO_LADDER[1:]`` that decreases the residual enough, or 0, and the
-    point it reaches with its residual vector, Jacobian and max-norm
-    residual, all from one evaluation of the whole ladder."""
-    lam = ARMIJO_LADDER[1:]
+def _ladder(system, u, du, res, which, lam):
+    """For each seed, the first step length of ``lam`` that passes Armijo's
+    test, or 0, and the point it reaches with its residual vector, Jacobian
+    and max-norm residual, all from one evaluation of every rung.  A rung
+    ``u + lam * du`` with ``lam = 1`` is the full step ``u + du``, the same
+    doubles; a seed with no accepted rung gets the first rung's point."""
     trial = u[:, None, :] + lam[:, None] * du[:, None, :]
     terms = system._scaled_term_values(trial, which[:, None])
     f = terms.sum(axis=-1)
     new_res = _row_max(np.abs(f))
     accept = _sufficient(new_res, lam, res[:, None])
     rung = accept.argmax(axis=1)
-    at = np.arange(len(u))
-    return (np.where(accept[at, rung], lam[rung], 0.0), trial[at, rung], f[at, rung],
-            terms[at, rung] @ system.exponents, new_res[at, rung])
+    at = np.arange(len(u)) * len(lam) + rung  # flat index of each seed's rung
+    passed, trial, f, terms, new_res = (
+        a.reshape((-1,) + a.shape[2:])[at] for a in (accept, trial, f, terms, new_res))
+    return np.where(passed, lam[rung], 0.0), trial, f, terms @ system.exponents, new_res
 
 
 def _sufficient(new_res, lam, res):
@@ -445,7 +454,8 @@ def validate_root_set(system, roots, max_depth=16, refine_depth=14):
         if root is None and not any(
                 np.max(np.abs(np.log(centre) - r.log_x)) <= width for r in roots):
             refine[b] = exclusion_boxes(system, lo, hi, refine_depth)
-    sub_found = iter(_solve_boxes(system, [box for subs in refine.values() for box in subs])[1])
+    sub = [box for subs in refine.values() for box in subs]
+    sub_found = iter(_solve_boxes(system, sub)[1] if sub else ())
     missed, unresolved = [], []
     for b, root in enumerate(found):
         for box in refine.get(b, ()):

@@ -1,15 +1,16 @@
-"""Independent oracles that only the tests use: literal enumerations and
-the depth-first exclusion sweep the package's level-synchronous one must
-reproduce."""
+"""Independent oracles that only the tests use: literal enumerations, the
+affine relation of a circuit, and the depth-first exclusion sweep the
+package's level-synchronous one must reproduce."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from multistat.points import ConeDescription, cone_normals
-from multistat.ratlin import primitive
+from multistat.ratlin import kernel_basis, primitive
 
 
 def fourier_motzkin_feasible(normals):
@@ -68,6 +69,43 @@ def enumerate_tree_sum(nodes, weights, root):
                 p *= Fraction(w)
             total += p
     return total
+
+
+@dataclass(frozen=True)
+class Circuit:
+    support: tuple
+    relation: tuple  # affine relation, indexed like support
+    positive: tuple  # indices into support with relation > 0
+    negative: tuple
+    is_circuit: bool  # all relation entries nonzero
+
+    def triangulations(self):
+        """The two triangulations of a circuit: for each sign class, the
+        simplices obtained by dropping one point of that class."""
+        if not self.is_circuit:
+            raise ValueError("not a circuit (some relation entries vanish)")
+        plus = [tuple(p for p in self.support if p != self.support[i]) for i in self.positive]
+        minus = [tuple(p for p in self.support if p != self.support[i]) for i in self.negative]
+        return plus, minus
+
+
+def circuit_relation(cfg, support):
+    """The (unique up to sign) affine relation on ``d+2`` points, normalized
+    so the first nonzero entry is positive."""
+    support = tuple(support)
+    if len(support) != cfg.d + 2:
+        raise ValueError("a circuit support has d+2 points")
+    ker = kernel_basis(cfg.submatrix(support))
+    if len(ker) != 1:
+        raise ValueError("points do not affinely span R^d")
+    lam = ker[0]
+    first = next(x for x in lam if x != 0)
+    if first < 0:
+        lam = [-x for x in lam]
+    lam = tuple(lam)
+    pos = tuple(k for k, x in enumerate(lam) if x > 0)
+    neg = tuple(k for k, x in enumerate(lam) if x < 0)
+    return Circuit(support, lam, pos, neg, all(x != 0 for x in lam))
 
 
 def simplex_cone(cfg, simplex):

