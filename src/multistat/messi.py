@@ -5,21 +5,24 @@ Species are partitioned into a block of *intermediates* (block 0) and
 species; core complexes are mono- or bimolecular in core species.  Under
 the structural conditions checked here, the steady-state variety admits an
 explicit parametrization by one chosen concentration per core block.  It
-is derived by one exact route: every rate is converted to a ``Fraction``
-(exactly, floats included), and the steady-state equations of the exact
-mass-action system are solved one unsolved species at a time, each from an
-equation that is linear in it and free of every other unsolved species.
-Each species becomes a Laurent polynomial in the chosen concentrations (a
-single monomial on networks with toric steady states), and the result is
-checked to zero the exact mass-action system.  The Matrix-Tree elimination
-of intermediates and the association graphs of :func:`s_toric_check`
-describe the MESSI structure; the parametrization does not depend on them.
+is derived once per structure, over Q(kappa): the rate constants are
+symbols, every coefficient is a product-form rational function of them
+(:class:`_Form`), and the steady-state equations of the symbolic
+mass-action system are solved one unsolved species at a time, each from
+an equation that is linear in it and free of every other unsolved
+species.  Each species becomes a Laurent polynomial in the chosen
+concentrations (a single monomial on networks with toric steady states),
+and the result is verified once to zero the symbolic mass-action system.
+At a given kappa the parametrization is an evaluation: every rate is
+converted to a ``Fraction`` (exactly, floats included) and each
+coefficient is evaluated exactly.
 
 Substituting the parametrization into the independent conservation laws
 yields the *region system*: a coefficient matrix over a point
 configuration of monomial exponents whose decorated simplices certify
 multistationarity regions.  :func:`rescale_back` converts a column-wise
-scaling of that system into a rescaling of the rate constants.
+scaling of that system into a rescaling of the rate constants, with the
+exponents read off the region system over Q(kappa).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 from types import MappingProxyType
 
 from . import ratlin
@@ -39,12 +41,6 @@ __all__ = [
     "MessiError",
     "validate_partition",
     "classify_complexes",
-    "intermediate_coefficients",
-    "tree_sum",
-    "build_G1",
-    "build_G2",
-    "layer_sets",
-    "s_toric_check",
     "MessiModel",
     "messi_model",
     "Parametrization",
@@ -141,8 +137,9 @@ def validate_partition(net, partition):
 class MessiModel:
     """The rate-independent structure of a network under one partition and
     one choice of core species.  Built once per structure by
-    :func:`messi_model` and shared, so every field is read-only; the laws
-    and the rescale exponents are derived on first use."""
+    :func:`messi_model` and shared, so every field is read-only; the laws,
+    the parametrization over Q(kappa) and the rescale exponents are
+    derived on first use."""
 
     net: object  # snapshot of the species and reactions it was built from
     partition: tuple
@@ -174,44 +171,91 @@ class MessiModel:
         return tuple(laws)
 
     @cached_property
+    def compiled(self):
+        """The steady-state parametrization over Q(kappa): the route on the
+        mass-action system whose rate constants are symbols, verified once
+        by :func:`_verify_parametrization`; with its factors and how many
+        of them the route registered.  Raises :class:`MessiError` when
+        either fails."""
+        factors = _Factors(dict.fromkeys(r.rate_name for r in self.net.reactions))
+        symbols = {name: factors.symbol(name) for name in factors.names}
+        param, polys = _route(self.net, self.partition, self.chosen, symbols)
+        route = len(factors.polys)
+        _verify_parametrization(self.net, param, polys)
+        return factors, param, route
+
+    @cached_property
+    def _program(self):
+        """The compiled coefficients as integer programs (see
+        :func:`_term_value`) over the rates and the factors they use or
+        the route registered with coefficients of both signs, and the
+        slots of the latter."""
+        factors, param, route = self.compiled
+        terms = [(sp, {x: factors.lift(v) for x, v in poly.items()})
+                 for sp, poly in param.terms.items()]
+        mixed = {k for k in range(route) if min(factors.polys[k].values()) < 0}
+        used = sorted(mixed | {k for _, poly in terms for v in poly.values() for k in v.f})
+        slot = {k: len(factors.names) + i for i, k in enumerate(used)}
+
+        def program(c, m, f=()):
+            return (c.numerator, c.denominator,
+                    tuple((i, e) for i, e in enumerate(m) if e)
+                    + tuple((slot[k], e) for k, e in f))
+
+        return (factors.names,
+                [[program(c, m) for m, c in factors.polys[k].items()] for k in used],
+                [slot[k] for k in sorted(mixed)],
+                [(sp, [(x, program(v.c, v.m, v.f.items())) for x, v in poly.items()])
+                 for sp, poly in terms])
+
+    def parametrize(self, rates):
+        """The parametrization's terms at the exact positive ``rates``: each
+        factor is evaluated once, then each coefficient.  Where no factor
+        of the route vanishes, every zero test of the route has the same
+        outcome at ``rates`` as over Q(kappa), so the terms, values and key
+        order are those the route derives at ``rates``.  A factor with
+        positive coefficients never vanishes; where one of both signs
+        does, the route runs at ``rates`` instead."""
+        names, factors, mixed, terms = self._program
+        vals = [(q.numerator, q.denominator) for q in map(rates.__getitem__, names)]
+        for poly in factors:
+            v = sum(_term_value(t, vals) for t in poly)
+            vals.append((v.numerator, v.denominator))
+        if any(vals[i][0] == 0 for i in mixed):
+            param, polys = _route(self.net, self.partition, self.chosen, rates)
+            _verify_parametrization(self.net, param, polys)
+            return param.terms
+        return {sp: {x: _term_value(t, vals) for x, t in poly} for sp, poly in terms}
+
+    @cached_property
     def rescale_exponents(self):
         """The reactant core complexes that scale every region-system
         column by a power of their multiplier, and per monomial those
-        powers.  Measured once, exactly, by doubling all rates out of one
-        complex at a fixed generic rational kappa: the powers are
-        structural, the same at every positive kappa."""
-        rng = random.Random(20240917)
-        kappa = {r.rate_name: Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
-                 for r in self.net.reactions}
-        totals = [1] * (len(self.partition) - 1)
-        base = assemble_region_system(self.net, self.partition, kappa, totals, self.chosen)
-        unit_cols = base.chosen_columns()
-        active = [j for j in range(base.cfg.n)
-                  if j != base.constant_column and j not in unit_cols]
-        probes, names = [], []
+        powers.  A complex's power in a column is the degree of the
+        column's coefficient over Q(kappa) in the rates out of it; it
+        exists when every factor of every nonzero entry is homogeneous in
+        those rates and all rows agree."""
+        factors, param, _ = self.compiled
+        region = assemble_region_system(
+            self.net, self.partition, None, [1] * (len(self.partition) - 1), self.chosen, param)
+        unit_cols = region.chosen_columns()
+        active = [j for j in range(region.cfg.n)
+                  if j != region.constant_column and j not in unit_cols]
+        powers, names = [], []
         for y in self.reactant_cores:
-            doubled = {r.rate_name: kappa[r.rate_name] * 2
-                       for r in self.net.reactions if r.source == y}
-            scaled = assemble_region_system(
-                self.net, self.partition, {**kappa, **doubled}, totals, self.chosen)
-            if scaled.cfg.points != base.cfg.points:
-                continue
+            own = {r.rate_name for r in self.net.reactions if r.source == y}
+            mask = [int(name in own) for name in factors.names]
             evec = {}
             for j in active:
-                pairs = [(row[j], row2[j]) for row, row2 in zip(base.C, scaled.C)]
-                ratios = {c1 / c0 for c0, c1 in pairs if c0 != 0}
-                if any((c0 == 0) != (c1 == 0) for c0, c1 in pairs) or len(ratios) > 1:
+                degrees = {factors.degree(row[j], mask) for row in region.C if row[j] != 0}
+                if None in degrees or len(degrees) > 1:
                     break
-                r = ratios.pop() if ratios else Fraction(1)
-                num, den = r.numerator, r.denominator
-                if (num & (num - 1)) or (den & (den - 1)):
-                    break  # not a power of 2
-                evec[j] = num.bit_length() - den.bit_length()
+                evec[j] = degrees.pop() if degrees else 0
             else:
-                probes.append(evec)
+                powers.append(evec)
                 names.append(y)
         return tuple(names), MappingProxyType(
-            {base.cfg.points[j]: tuple(p[j] for p in probes) for j in active})
+            {region.cfg.points[j]: tuple(p[j] for p in powers) for j in active})
 
 
 _MODELS = {}  # structural key -> MessiModel
@@ -264,253 +308,6 @@ def _build_model(net, partition, chosen):
 
 
 # ---------------------------------------------------------------------------
-# Matrix-Tree elimination of intermediates
-# ---------------------------------------------------------------------------
-
-def tree_sum(nodes, weights, root):
-    """Sum over spanning in-trees rooted at ``root`` of the edge-weight
-    products, via the Matrix-Tree minor of the out-degree Laplacian.
-    ``weights`` maps ``(u, v)`` to the (summed) weight of edges u->v."""
-    others = [v for v in nodes if v != root]
-    idx = {v: i for i, v in enumerate(others)}
-    n = len(others)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    for (u, v), w in weights.items():
-        if u == v:
-            continue
-        if u in idx:
-            L[idx[u]][idx[u]] += Fraction(w)
-            if v in idx:
-                L[idx[u]][idx[v]] -= Fraction(w)
-    return ratlin.determinant(L)
-
-
-def _collapsed_graph(net, partition, kappa):
-    """Collapsed graph on intermediate species plus a star node ``"*"``;
-    concentrations in core->intermediate labels are set to 1."""
-    intermediate = messi_model(net, partition).intermediate
-    rates = net.rates(kappa)
-    weights = {}
-
-    def add(u, v, w):
-        weights[(u, v)] = weights.get((u, v), 0) + w
-
-    for r in net.reactions:
-        k = rates[r.rate_name]
-        su = intermediate.get(r.source)
-        tv = intermediate.get(r.target)
-        if su is None and tv is None:
-            continue
-        add(su if su is not None else "*", tv if tv is not None else "*", k)
-    nodes = ["*"] + sorted(set(intermediate.values()))
-    return nodes, weights
-
-
-def intermediate_coefficients(net, partition, kappa=None):
-    """For each intermediate species the pair ``(mu, source)``: its steady
-    value is ``mu * x^source`` with ``source`` the unique core complex
-    feeding it through intermediates.  Raises when uniqueness fails."""
-    model = messi_model(net, partition)
-    nodes, weights = _collapsed_graph(net, partition, kappa)
-    rho_star = tree_sum(nodes, weights, "*")
-    if rho_star == 0:
-        raise MessiError("intermediate linear system is singular")
-    out = {}
-    for cplx, sp in model.intermediate.items():
-        sources = model.sources[cplx]
-        if len(sources) != 1:
-            raise MessiError(
-                "intermediate %r needs a unique core source, found %r" % (sp, list(sources))
-            )
-        mu = tree_sum(nodes, weights, sp) / rho_star
-        out[sp] = (mu, sources[0])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# association graphs
-# ---------------------------------------------------------------------------
-
-def build_G1(net, partition, kappa=None):
-    """Digraph on core complexes; an edge carries the total transition rate
-    ``tau = kappa_direct + sum_k kappa(U_k -> y') mu_k`` over intermediate
-    channels."""
-    model = messi_model(net, partition)
-    intermediate, core = model.intermediate, model.core
-    rates = net.rates(kappa)
-    mu = intermediate_coefficients(net, partition, kappa) if intermediate else {}
-    edges = {}
-    syms = {}
-
-    def add(y, y2, val, sym):
-        if y == y2:  # no net transition
-            return
-        edges[(y, y2)] = edges.get((y, y2), 0) + val
-        syms.setdefault((y, y2), []).append(sym)
-
-    for r in net.reactions:
-        if r.source in core and r.target in core:
-            add(r.source, r.target, rates[r.rate_name], r.rate_name)
-        elif r.source in intermediate and r.target in core:
-            sp = intermediate[r.source]
-            m, src = mu[sp]
-            add(src, r.target, rates[r.rate_name] * m, "%s*mu[%s]" % (r.rate_name, sp))
-    return edges, {k: " + ".join(v) for k, v in syms.items()}
-
-
-def _pair_bimolecular(blocks, y, y2):
-    """Match the species of two bimolecular core complexes block-by-block;
-    returns ((xi, xj), (xl, xm)) with xi,xj in one block and xl,xm in the
-    other, or None."""
-    (a1, _), (a2, _) = y
-    (b1, _), (b2, _) = y2
-    if blocks[a1] == blocks[b1] and blocks[a2] == blocks[b2]:
-        return (a1, b1), (a2, b2)
-    if blocks[a1] == blocks[b2] and blocks[a2] == blocks[b1]:
-        return (a1, b2), (a2, b1)
-    return None
-
-
-def build_G2(net, partition, kappa=None):
-    """The labelled association multigraph on core species plus the block
-    dependency graph.
-
-    Returns a dict with keys ``edges`` (list of ``(u, v, tau, hidden,
-    symbol)``), ``parallel_free`` (no two edges share endpoints before
-    collapsing), ``GE`` (set of block-index pairs) and ``components``
-    (species grouped by graph component restricted to each block).
-    """
-    blocks = messi_model(net, partition).blocks
-    g1, g1sym = build_G1(net, partition, kappa)
-    edges = []
-    for (y, y2), tau in g1.items():
-        sym = g1sym[(y, y2)]
-        if len(y) == 1:
-            u, v = y[0][0], y2[0][0]
-            edges.append((u, v, tau, None, sym))
-        else:
-            pairing = _pair_bimolecular(blocks, y, y2)
-            if pairing is None:
-                raise MessiError("cannot pair %r -> %r block-wise" % (y, y2))
-            (xi, xj), (xl, xm) = pairing
-            edges.append((xi, xj, tau, xl, sym))
-            edges.append((xl, xm, tau, xi, sym))
-    seen = {}
-    parallel_free = True
-    for u, v, *_ in edges:
-        if (u, v) in seen and u != v:
-            parallel_free = False
-        seen[(u, v)] = True
-    ge = set()
-    for u, v, tau, hidden, _ in edges:
-        if u != v and hidden is not None and blocks[hidden] != blocks[u]:
-            ge.add((blocks[hidden], blocks[u]))
-    return {"edges": edges, "parallel_free": parallel_free, "GE": ge, "blocks": blocks}
-
-
-def layer_sets(ge_edges, m):
-    """Topological layers of the block dependency graph on blocks 1..m:
-    layer 0 holds blocks with no incoming edge, layer k blocks whose
-    incoming edges all originate in earlier layers.  Raises on cycles."""
-    remaining = set(range(1, m + 1))
-    layers = []
-    placed = set()
-    while remaining:
-        layer = {
-            b
-            for b in remaining
-            if all(src in placed for src, dst in ge_edges if dst == b)
-        }
-        if not layer:
-            raise MessiError("block dependency graph has a cycle")
-        layers.append(sorted(layer))
-        placed |= layer
-        remaining -= layer
-    return layers
-
-
-def _component_graphs(partition, g2):
-    """The association graph restricted to each block, as adjacency sets
-    (node -> successors; loops dropped)."""
-    blocks = g2["blocks"]
-    graphs = {}
-    for b in range(1, len(partition)):
-        adj = {sp: set() for sp in partition[b]}
-        for u, v, *_ in g2["edges"]:
-            if u != v and blocks[u] == b:
-                adj[u].add(v)
-                adj.setdefault(v, set())
-        graphs[b] = adj
-    return graphs
-
-
-def _reach(adj, start):
-    """Every node reachable from ``start``, ``start`` included."""
-    seen, stack = {start}, [start]
-    while stack:
-        for v in adj[stack.pop()] - seen:
-            seen.add(v)
-            stack.append(v)
-    return seen
-
-
-def _strongly_connected(adj):
-    """Whether every node reaches every other: one node reaches all, and
-    all reach it (a search on the reversed edges)."""
-    back = {v: set() for v in adj}
-    for u, succ in adj.items():
-        for v in succ:
-            back[v].add(u)
-    start = next(iter(adj))
-    return len(_reach(adj, start)) == len(_reach(back, start)) == len(adj)
-
-
-def _count_simple_paths(adj, u, v):
-    """The number of simple paths from ``u`` to ``v != u``, counted up to 2:
-    enough to tell a unique path from none or several."""
-    count, stack = 0, [(u, {u})]
-    while stack and count < 2:
-        w, on_path = stack.pop()
-        for x in adj[w]:
-            if x == v:
-                count += 1
-            elif x not in on_path:
-                stack.append((x, on_path | {x}))
-    return min(count, 2)
-
-
-def _unique_simple_paths(adj):
-    return all(_count_simple_paths(adj, u, v) == 1 for u, v in permutations(adj, 2))
-
-
-def s_toric_check(net, partition, kappa=None):
-    """Check the structural conditions for a toric steady-state
-    parametrization; the quotient condition (iii) is machine-verified only
-    in the unique-simple-path regime."""
-    out = {"valid_partition": not messi_model(net, partition).violations}
-    try:
-        intermediate_coefficients(net, partition, kappa)
-        out["unique_intermediate_sources"] = True
-    except MessiError as e:
-        out["unique_intermediate_sources"] = False
-        out["source_violation"] = str(e)
-    try:
-        g2 = build_G2(net, partition, kappa)
-    except MessiError as e:
-        out.update(parallel_free=False, weakly_reversible=False,
-                   unique_simple_paths=False, quotient_condition="not verified",
-                   g2_error=str(e))
-        return out
-    out["parallel_free"] = g2["parallel_free"]
-    graphs = [adj for adj in _component_graphs(partition, g2).values()
-              if len(adj) > 1 and any(adj.values())]
-    out["weakly_reversible"] = wr = all(map(_strongly_connected, graphs))
-    out["unique_simple_paths"] = usp = all(map(_unique_simple_paths, graphs))
-    out["quotient_condition"] = "verified" if (usp and wr) else "not verified"
-    return out
-
-
-# ---------------------------------------------------------------------------
 # steady-state parametrization
 # ---------------------------------------------------------------------------
 
@@ -539,6 +336,156 @@ def _tpow(p, k, m):
     for _ in range(k):
         out = _tmul(out, p)
     return out
+
+
+class _Factors:
+    """The rate symbols of one structure and the multi-term polynomials in
+    them that its :class:`_Form` values share, each registered once in a
+    normal form: its least exponent in each symbol is 0, and its least
+    exponent tuple has coefficient 1."""
+
+    def __init__(self, names):
+        self.names = tuple(names)
+        self.one = tuple([0] * len(self.names))
+        self.polys = []  # factor id -> {exponent tuple: Fraction}
+        self.ids = {}  # a factor's sorted items -> its id
+        self.powers = {}  # (factor id, exponent) -> the expanded power
+
+    def lift(self, x):
+        return x if isinstance(x, _Form) else _Form(self, Fraction(x), self.one, {})
+
+    def symbol(self, name):
+        i = self.names.index(name)
+        return _Form(self, Fraction(1), tuple(int(j == i) for j in range(len(self.names))), {})
+
+    def expand(self, v, m0, f0):
+        """The polynomial ``v / (kappa^m0 * prod F^f0)``; ``m0`` and ``f0``
+        are at most ``v``'s exponents."""
+        poly = {tuple(a - b for a, b in zip(v.m, m0)): v.c}
+        for k in {*v.f, *f0}:
+            e = v.f.get(k, 0) - f0.get(k, 0)
+            if e:
+                if (k, e) not in self.powers:
+                    self.powers[k, e] = _tpow(self.polys[k], e, len(self.names))
+                poly = _tmul(poly, self.powers[k, e])
+        return poly
+
+    def form(self, poly, m0, f0):
+        """The value ``poly * kappa^m0 * prod F^f0`` of a polynomial without
+        zero coefficients; a multi-term ``poly`` becomes a factor."""
+        if not poly:
+            return _Form(self, Fraction(0), self.one, {})
+        low = tuple(min(col) for col in zip(*poly))
+        m = tuple(a + b for a, b in zip(m0, low))
+        if any(low):
+            poly = {tuple(a - b for a, b in zip(e, low)): c for e, c in poly.items()}
+        lead = poly[min(poly)]
+        f = {k: e for k, e in f0.items() if e}
+        if len(poly) > 1:
+            key = tuple(sorted((e, c / lead) for e, c in poly.items()))
+            k = self.ids.get(key)
+            if k is None:
+                k = self.ids[key] = len(self.polys)
+                self.polys.append(dict(key))
+            f[k] = f.get(k, 0) + 1
+            if not f[k]:
+                del f[k]
+        return _Form(self, lead, m, f)
+
+    def degree(self, v, mask):
+        """The degree of ``v`` in the symbols that ``mask`` marks, or None
+        when one of its factors is not homogeneous in them."""
+        v = self.lift(v)
+        total = sum(a * b for a, b in zip(v.m, mask))
+        for k, e in v.f.items():
+            degrees = {sum(a * b for a, b in zip(x, mask)) for x in self.polys[k]}
+            if len(degrees) > 1:
+                return None
+            total += e * degrees.pop()
+        return total
+
+
+class _Form:
+    """A value ``c * kappa^m * prod F_k^f[k]`` in Q(kappa): ``c`` a
+    Fraction, ``m`` integer exponents of the rate symbols and ``f``
+    nonzero integer exponents of registered factors.  Products and
+    quotients add exponents; a sum factors out the common part of its terms
+    and registers the expanded rest, so a value is the zero function
+    exactly when ``c`` is 0.  At a positive kappa it is also 0 where one
+    of its factors vanishes, which a factor with positive coefficients
+    never does."""
+
+    __slots__ = ("field", "c", "m", "f")
+
+    def __init__(self, field, c, m, f):
+        self.field, self.c, self.m, self.f = field, c, m, f
+
+    def __eq__(self, other):
+        return not (self - other).c
+
+    __hash__ = None
+
+    def __repr__(self):
+        names = self.field.names
+        return " * ".join([repr(self.c)]
+                          + ["%s^%d" % (names[i], e) for i, e in enumerate(self.m) if e]
+                          + ["F%d^%d" % kv for kv in self.f.items()])
+
+    def __neg__(self):
+        return _Form(self.field, -self.c, self.m, self.f)
+
+    def __add__(self, other):
+        other = self.field.lift(other)
+        if not other.c:
+            return self
+        if not self.c:
+            return other
+        field = self.field
+        m0 = tuple(map(min, self.m, other.m))
+        f0 = {k: min(self.f.get(k, 0), other.f.get(k, 0)) for k in {*self.f, *other.f}}
+        return field.form(_tadd(field.expand(self, m0, f0), field.expand(other, m0, f0)), m0, f0)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -self.field.lift(other)
+
+    def __mul__(self, other):
+        other = self.field.lift(other)
+        if not (self.c and other.c):
+            return _Form(self.field, Fraction(0), self.field.one, {})
+        f = dict(self.f)
+        for k, e in other.f.items():
+            f[k] = f.get(k, 0) + e
+            if not f[k]:
+                del f[k]
+        return _Form(self.field, self.c * other.c,
+                     tuple(a + b for a, b in zip(self.m, other.m)), f)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self.field.lift(other)
+        return self * _Form(self.field, 1 / other.c, tuple(-a for a in other.m),
+                            {k: -e for k, e in other.f.items()})
+
+    def __pow__(self, e):
+        return _Form(self.field, self.c ** e, tuple(a * e for a in self.m),
+                     {k: x * e for k, x in self.f.items()} if e else {})
+
+
+def _term_value(term, vals):
+    """The exact value ``c * prod vals[i]^e`` of a compiled coefficient
+    ``(numerator of c, denominator of c, ((i, e), ...))``, with ``vals``
+    holding (numerator, denominator) pairs."""
+    num, den, powers = term
+    for i, e in powers:
+        n, d = vals[i]
+        if e < 0:
+            n, d, e = d, n, -e
+        num *= n ** e
+        den *= d ** e
+    return Fraction(num, den)
 
 
 @dataclass
@@ -651,15 +598,27 @@ def _substitution_route(net, partition, polys, chosen):
     return known
 
 
+def _route(net, partition, chosen, rates):
+    """:func:`_substitution_route` on the mass-action system at ``rates``
+    (numbers or :class:`_Form` symbols): the parametrization and the
+    system, which the caller verifies."""
+    polys = net.mass_action_system(rates)
+    try:
+        known = _substitution_route(net, partition, polys, chosen)
+    except MessiError as e:
+        raise MessiError("no steady-state parametrization: %s" % e, [str(e)])
+    return Parametrization(tuple(chosen), known, rates), polys
+
+
 def steady_state_parametrization(net, partition, kappa=None, chosen=None):
     """Parametrization of the positive steady-state variety by one chosen
     concentration per core block.
 
     Every rate constant must be positive and finite; each is converted to
-    a ``Fraction`` (exact for floats too), and the species are eliminated
-    by sequential linear substitution in the exact mass-action system.
-    The result is verified by substituting into that system at a positive
-    rational point, where it must vanish exactly.
+    a ``Fraction`` (exact for floats too).  The parametrization over
+    Q(kappa) (:attr:`MessiModel.compiled`), derived by sequential linear
+    substitution and verified once per structure, is then evaluated at
+    these rates.
     """
     model = messi_model(net, partition, chosen)
     if model.violations:
@@ -668,14 +627,7 @@ def steady_state_parametrization(net, partition, kappa=None, chosen=None):
     rates = net.rates(kappa)
     _positive_finite(rates.items(), "rate")
     rates = {k: Fraction(v) for k, v in rates.items()}
-    polys = net.mass_action_system(rates)
-    try:
-        known = _substitution_route(net, partition, polys, model.chosen)
-    except MessiError as e:
-        raise MessiError("no steady-state parametrization: %s" % e, [str(e)])
-    param = Parametrization(tuple(model.chosen), known, rates)
-    _verify_parametrization(net, param, polys)
-    return param
+    return Parametrization(tuple(model.chosen), model.parametrize(rates), rates)
 
 
 def _verify_parametrization(net, param, polys):

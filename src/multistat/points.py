@@ -31,7 +31,6 @@ __all__ = [
     "shares_facet",
     "joint_cone",
     "cone_normals",
-    "extend_height",
     "regular_subdivision",
     "is_regular",
 ]
@@ -185,33 +184,6 @@ def _interpolator(cfg, cell, heights):
     pts = list(cell)[: cfg.d + 1]
     rows = [[1, *cfg.points[j]] for j in pts]
     return ratlin.solve(rows, [heights[j] for j in pts])
-
-
-def extend_height(cfg, s1, s2, jitter=Fraction(1, 1009)):
-    """Height function whose regular subdivision contains the two
-    facet-sharing simplices ``s1``, ``s2`` as cells.
-
-    Heights are 0 on ``s1``, 1 on the apex of ``s2``, and every remaining
-    point is lifted strictly above both supporting planes with a per-index
-    perturbation so no spurious point lands on either plane.
-    """
-    if not shares_facet(cfg, s1, s2):
-        raise ValueError("simplices must share a facet")
-    apex2 = (set(s2) - set(s1)).pop()
-    h = [None] * cfg.n
-    for j in s1:
-        h[j] = Fraction(0)
-    h[apex2] = Fraction(1)
-    phi1 = _interpolator(cfg, sorted(s1), h)
-    phi2 = _interpolator(cfg, sorted(s2), h)
-
-    def ev(phi, j):
-        return phi[0] + sum(w * Fraction(x) for w, x in zip(phi[1:], cfg.points[j]))
-
-    for j in range(cfg.n):
-        if h[j] is None:
-            h[j] = max(ev(phi1, j), ev(phi2, j)) + 1 + (j + 1) * jitter
-    return h
 
 
 @dataclass

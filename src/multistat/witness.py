@@ -47,6 +47,8 @@ DISTINCT_TOL = 1e-6
 MAX_ITER = 200
 # backtracking step lengths 1, 1/2, ... > 1e-8; a smaller step makes no useful progress
 ARMIJO_LADDER = 0.5 ** np.arange(27)
+# Armijo's sufficient-decrease factor of each rung
+ARMIJO_BOUND = 1 - 1e-4 * ARMIJO_LADDER
 # seeds iterated together; bounds a line-search stack at 26 points per seed
 NEWTON_BLOCK = 256
 MAX_BUDGET = 1074  # the longest schedule: 2^-1075 is 0 in doubles
@@ -234,16 +236,16 @@ def newton_solve_many(system, seeds, basins, which=None):
         if failed:  # evaluated harmlessly, then failed where it is
             du[~ok], f[~ok] = 0.0, np.nan
         if damped.all():
-            lam, u_new, f_new, J_new, res_new = _ladder(system, u, du, res, which, ARMIJO_LADDER)
+            lam, u_new, f_new, J_new, res_new = _ladder(system, u, du, res, which, 0)
         else:
             u_new = u + du
             f_new, J_new = system.residual_jacobian(u_new, which)
             res_new = _row_max(np.abs(f_new))
-            lam = np.where(_sufficient(res_new, 1.0, res), 1.0, 0.0)
+            lam = np.where(_sufficient(res_new, ARMIJO_BOUND[0], res), 1.0, 0.0)
             back = np.flatnonzero(ok & (lam == 0))
             if back.size:
                 lam[back], u_new[back], f_new[back], J_new[back], res_new[back] = _ladder(
-                    system, u[back], du[back], res[back], which[back], ARMIJO_LADDER[1:])
+                    system, u[back], du[back], res[back], which[back], 1)
         if failed:
             lam[~ok] = 0.0
         step = lam * _row_max(np.abs(du))
@@ -272,17 +274,19 @@ def _newton_steps(J, f):
         return _umath_linalg.solve(J, -f[..., None], signature="dd->d")[..., 0]
 
 
-def _ladder(system, u, du, res, which, lam):
-    """For each seed, the first step length of ``lam`` that passes Armijo's
-    test, or 0, and the point it reaches with its residual vector, Jacobian
-    and max-norm residual, all from one evaluation of every rung.  A rung
-    ``u + lam * du`` with ``lam = 1`` is the full step ``u + du``, the same
-    doubles; a seed with no accepted rung gets the first rung's point."""
+def _ladder(system, u, du, res, which, first):
+    """For each seed, the first step length of ``ARMIJO_LADDER`` from rung
+    ``first`` on that passes Armijo's test, or 0, and the point it reaches
+    with its residual vector, Jacobian and max-norm residual, all from one
+    evaluation of every rung.  A rung ``u + lam * du`` with ``lam = 1`` is
+    the full step ``u + du``, the same doubles; a seed with no accepted
+    rung gets the first rung's point."""
+    lam = ARMIJO_LADDER[first:]
     trial = u[:, None, :] + lam[:, None] * du[:, None, :]
     terms = system._scaled_term_values(trial, which[:, None])
     f = terms.sum(axis=-1)
     new_res = _row_max(np.abs(f))
-    accept = _sufficient(new_res, lam, res[:, None])
+    accept = _sufficient(new_res, ARMIJO_BOUND[first:], res[:, None])
     rung = accept.argmax(axis=1)
     at = np.arange(len(u)) * len(lam) + rung  # flat index of each seed's rung
     passed, trial, f, terms, new_res = (
@@ -290,9 +294,10 @@ def _ladder(system, u, du, res, which, lam):
     return np.where(passed, lam[rung], 0.0), trial, f, terms @ system.exponents, new_res
 
 
-def _sufficient(new_res, lam, res):
-    """Armijo's test for step length ``lam``; a certified residual always passes."""
-    return (new_res <= (1 - 1e-4 * lam) * res) | (new_res < RESIDUAL_TOL)
+def _sufficient(new_res, bound, res):
+    """Armijo's test with a rung's ``ARMIJO_BOUND``; a certified residual
+    always passes."""
+    return (new_res <= bound * res) | (new_res < RESIDUAL_TOL)
 
 
 def _certify(u, f, J, basins):

@@ -1,16 +1,19 @@
 """Independent oracles that only the tests use: literal enumerations, the
-affine relation of a circuit, and the depth-first exclusion sweep the
-package's level-synchronous one must reproduce."""
+affine relation of a circuit, the depth-first exclusion sweep the
+package's level-synchronous one must reproduce, a two-simplex height, and
+the MESSI graph layer (Matrix-Tree elimination of intermediates and the
+association graphs of ``s_toric_check``)."""
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
-from multistat.points import ConeDescription, cone_normals
-from multistat.ratlin import kernel_basis, primitive
+from multistat.messi import MessiError, messi_model
+from multistat.points import ConeDescription, _interpolator, cone_normals, shares_facet
+from multistat.ratlin import determinant, kernel_basis, primitive
 
 
 def fourier_motzkin_feasible(normals):
@@ -176,4 +179,278 @@ def exclusion_boxes(system, lo=None, hi=None, max_depth=16):
         b_lo[k] = mid
         stack.append((lo, tuple(a_hi), depth + 1))
         stack.append((tuple(b_lo), hi, depth + 1))
+    return out
+
+
+def extend_height(cfg, s1, s2, jitter=Fraction(1, 1009)):
+    """Height function whose regular subdivision contains the two
+    facet-sharing simplices ``s1``, ``s2`` as cells.
+
+    Heights are 0 on ``s1``, 1 on the apex of ``s2``, and every remaining
+    point is lifted strictly above both supporting planes with a per-index
+    perturbation so no spurious point lands on either plane.
+    """
+    if not shares_facet(cfg, s1, s2):
+        raise ValueError("simplices must share a facet")
+    apex2 = (set(s2) - set(s1)).pop()
+    h = [None] * cfg.n
+    for j in s1:
+        h[j] = Fraction(0)
+    h[apex2] = Fraction(1)
+    phi1 = _interpolator(cfg, sorted(s1), h)
+    phi2 = _interpolator(cfg, sorted(s2), h)
+
+    def ev(phi, j):
+        return phi[0] + sum(w * Fraction(x) for w, x in zip(phi[1:], cfg.points[j]))
+
+    for j in range(cfg.n):
+        if h[j] is None:
+            h[j] = max(ev(phi1, j), ev(phi2, j)) + 1 + (j + 1) * jitter
+    return h
+
+
+# ---------------------------------------------------------------------------
+# Matrix-Tree elimination of intermediates
+# ---------------------------------------------------------------------------
+
+def tree_sum(nodes, weights, root):
+    """Sum over spanning in-trees rooted at ``root`` of the edge-weight
+    products, via the Matrix-Tree minor of the out-degree Laplacian.
+    ``weights`` maps ``(u, v)`` to the (summed) weight of edges u->v."""
+    others = [v for v in nodes if v != root]
+    idx = {v: i for i, v in enumerate(others)}
+    n = len(others)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    for (u, v), w in weights.items():
+        if u == v:
+            continue
+        if u in idx:
+            L[idx[u]][idx[u]] += Fraction(w)
+            if v in idx:
+                L[idx[u]][idx[v]] -= Fraction(w)
+    return determinant(L)
+
+
+def _collapsed_graph(net, partition, kappa):
+    """Collapsed graph on intermediate species plus a star node ``"*"``;
+    concentrations in core->intermediate labels are set to 1."""
+    intermediate = messi_model(net, partition).intermediate
+    rates = net.rates(kappa)
+    weights = {}
+
+    def add(u, v, w):
+        weights[(u, v)] = weights.get((u, v), 0) + w
+
+    for r in net.reactions:
+        k = rates[r.rate_name]
+        su = intermediate.get(r.source)
+        tv = intermediate.get(r.target)
+        if su is None and tv is None:
+            continue
+        add(su if su is not None else "*", tv if tv is not None else "*", k)
+    nodes = ["*"] + sorted(set(intermediate.values()))
+    return nodes, weights
+
+
+def intermediate_coefficients(net, partition, kappa=None):
+    """For each intermediate species the pair ``(mu, source)``: its steady
+    value is ``mu * x^source`` with ``source`` the unique core complex
+    feeding it through intermediates.  Raises when uniqueness fails."""
+    model = messi_model(net, partition)
+    nodes, weights = _collapsed_graph(net, partition, kappa)
+    rho_star = tree_sum(nodes, weights, "*")
+    if rho_star == 0:
+        raise MessiError("intermediate linear system is singular")
+    out = {}
+    for cplx, sp in model.intermediate.items():
+        sources = model.sources[cplx]
+        if len(sources) != 1:
+            raise MessiError(
+                "intermediate %r needs a unique core source, found %r" % (sp, list(sources))
+            )
+        mu = tree_sum(nodes, weights, sp) / rho_star
+        out[sp] = (mu, sources[0])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# association graphs
+# ---------------------------------------------------------------------------
+
+def build_G1(net, partition, kappa=None):
+    """Digraph on core complexes; an edge carries the total transition rate
+    ``tau = kappa_direct + sum_k kappa(U_k -> y') mu_k`` over intermediate
+    channels."""
+    model = messi_model(net, partition)
+    intermediate, core = model.intermediate, model.core
+    rates = net.rates(kappa)
+    mu = intermediate_coefficients(net, partition, kappa) if intermediate else {}
+    edges = {}
+    syms = {}
+
+    def add(y, y2, val, sym):
+        if y == y2:  # no net transition
+            return
+        edges[(y, y2)] = edges.get((y, y2), 0) + val
+        syms.setdefault((y, y2), []).append(sym)
+
+    for r in net.reactions:
+        if r.source in core and r.target in core:
+            add(r.source, r.target, rates[r.rate_name], r.rate_name)
+        elif r.source in intermediate and r.target in core:
+            sp = intermediate[r.source]
+            m, src = mu[sp]
+            add(src, r.target, rates[r.rate_name] * m, "%s*mu[%s]" % (r.rate_name, sp))
+    return edges, {k: " + ".join(v) for k, v in syms.items()}
+
+
+def _pair_bimolecular(blocks, y, y2):
+    """Match the species of two bimolecular core complexes block-by-block;
+    returns ((xi, xj), (xl, xm)) with xi,xj in one block and xl,xm in the
+    other, or None."""
+    (a1, _), (a2, _) = y
+    (b1, _), (b2, _) = y2
+    if blocks[a1] == blocks[b1] and blocks[a2] == blocks[b2]:
+        return (a1, b1), (a2, b2)
+    if blocks[a1] == blocks[b2] and blocks[a2] == blocks[b1]:
+        return (a1, b2), (a2, b1)
+    return None
+
+
+def build_G2(net, partition, kappa=None):
+    """The labelled association multigraph on core species plus the block
+    dependency graph.
+
+    Returns a dict with keys ``edges`` (list of ``(u, v, tau, hidden,
+    symbol)``), ``parallel_free`` (no two edges share endpoints before
+    collapsing), ``GE`` (set of block-index pairs) and ``components``
+    (species grouped by graph component restricted to each block).
+    """
+    blocks = messi_model(net, partition).blocks
+    g1, g1sym = build_G1(net, partition, kappa)
+    edges = []
+    for (y, y2), tau in g1.items():
+        sym = g1sym[(y, y2)]
+        if len(y) == 1:
+            u, v = y[0][0], y2[0][0]
+            edges.append((u, v, tau, None, sym))
+        else:
+            pairing = _pair_bimolecular(blocks, y, y2)
+            if pairing is None:
+                raise MessiError("cannot pair %r -> %r block-wise" % (y, y2))
+            (xi, xj), (xl, xm) = pairing
+            edges.append((xi, xj, tau, xl, sym))
+            edges.append((xl, xm, tau, xi, sym))
+    seen = {}
+    parallel_free = True
+    for u, v, *_ in edges:
+        if (u, v) in seen and u != v:
+            parallel_free = False
+        seen[(u, v)] = True
+    ge = set()
+    for u, v, tau, hidden, _ in edges:
+        if u != v and hidden is not None and blocks[hidden] != blocks[u]:
+            ge.add((blocks[hidden], blocks[u]))
+    return {"edges": edges, "parallel_free": parallel_free, "GE": ge, "blocks": blocks}
+
+
+def layer_sets(ge_edges, m):
+    """Topological layers of the block dependency graph on blocks 1..m:
+    layer 0 holds blocks with no incoming edge, layer k blocks whose
+    incoming edges all originate in earlier layers.  Raises on cycles."""
+    remaining = set(range(1, m + 1))
+    layers = []
+    placed = set()
+    while remaining:
+        layer = {
+            b
+            for b in remaining
+            if all(src in placed for src, dst in ge_edges if dst == b)
+        }
+        if not layer:
+            raise MessiError("block dependency graph has a cycle")
+        layers.append(sorted(layer))
+        placed |= layer
+        remaining -= layer
+    return layers
+
+
+def _component_graphs(partition, g2):
+    """The association graph restricted to each block, as adjacency sets
+    (node -> successors; loops dropped)."""
+    blocks = g2["blocks"]
+    graphs = {}
+    for b in range(1, len(partition)):
+        adj = {sp: set() for sp in partition[b]}
+        for u, v, *_ in g2["edges"]:
+            if u != v and blocks[u] == b:
+                adj[u].add(v)
+                adj.setdefault(v, set())
+        graphs[b] = adj
+    return graphs
+
+
+def _reach(adj, start):
+    """Every node reachable from ``start``, ``start`` included."""
+    seen, stack = {start}, [start]
+    while stack:
+        for v in adj[stack.pop()] - seen:
+            seen.add(v)
+            stack.append(v)
+    return seen
+
+
+def _strongly_connected(adj):
+    """Whether every node reaches every other: one node reaches all, and
+    all reach it (a search on the reversed edges)."""
+    back = {v: set() for v in adj}
+    for u, succ in adj.items():
+        for v in succ:
+            back[v].add(u)
+    start = next(iter(adj))
+    return len(_reach(adj, start)) == len(_reach(back, start)) == len(adj)
+
+
+def _count_simple_paths(adj, u, v):
+    """The number of simple paths from ``u`` to ``v != u``, counted up to 2:
+    enough to tell a unique path from none or several."""
+    count, stack = 0, [(u, {u})]
+    while stack and count < 2:
+        w, on_path = stack.pop()
+        for x in adj[w]:
+            if x == v:
+                count += 1
+            elif x not in on_path:
+                stack.append((x, on_path | {x}))
+    return min(count, 2)
+
+
+def _unique_simple_paths(adj):
+    return all(_count_simple_paths(adj, u, v) == 1 for u, v in permutations(adj, 2))
+
+
+def s_toric_check(net, partition, kappa=None):
+    """Check the structural conditions for a toric steady-state
+    parametrization; the quotient condition (iii) is machine-verified only
+    in the unique-simple-path regime."""
+    out = {"valid_partition": not messi_model(net, partition).violations}
+    try:
+        intermediate_coefficients(net, partition, kappa)
+        out["unique_intermediate_sources"] = True
+    except MessiError as e:
+        out["unique_intermediate_sources"] = False
+        out["source_violation"] = str(e)
+    try:
+        g2 = build_G2(net, partition, kappa)
+    except MessiError as e:
+        out.update(parallel_free=False, weakly_reversible=False,
+                   unique_simple_paths=False, quotient_condition="not verified",
+                   g2_error=str(e))
+        return out
+    out["parallel_free"] = g2["parallel_free"]
+    graphs = [adj for adj in _component_graphs(partition, g2).values()
+              if len(adj) > 1 and any(adj.values())]
+    out["weakly_reversible"] = wr = all(map(_strongly_connected, graphs))
+    out["unique_simple_paths"] = usp = all(map(_unique_simple_paths, graphs))
+    out["quotient_condition"] = "verified" if (usp and wr) else "not verified"
     return out

@@ -13,16 +13,10 @@ from multistat import messi
 from multistat.messi import (
     MessiError,
     assemble_region_system,
-    build_G1,
-    build_G2,
     default_chosen,
-    intermediate_coefficients,
-    layer_sets,
     messi_conservation,
     rescale_back,
-    s_toric_check,
     steady_state_parametrization,
-    tree_sum,
     validate_partition,
 )
 from multistat.networks import (
@@ -31,7 +25,16 @@ from multistat.networks import (
     mixed_phosphorylation,
     phosphorylation,
 )
-from oracles import enumerate_tree_sum
+import oracles
+from oracles import (
+    build_G1,
+    build_G2,
+    enumerate_tree_sum,
+    intermediate_coefficients,
+    layer_sets,
+    s_toric_check,
+    tree_sum,
+)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 HK_KAPPA = dict(k1=1, k2=1, k3=2, k4=1, k5=1, k6=1)
@@ -108,7 +111,7 @@ def test_tree_sum_matches_enumeration_on_builtin_collapsed_graphs():
             continue
         kappa = {r.rate_name: Fraction(rng.randint(1, 9), rng.randint(1, 9))
                  for r in net.reactions}
-        nodes, weights = messi._collapsed_graph(net, part, kappa)
+        nodes, weights = oracles._collapsed_graph(net, part, kappa)
         for root in nodes:
             assert tree_sum(nodes, weights, root) == enumerate_tree_sum(
                 nodes, weights, root
@@ -139,6 +142,25 @@ def test_mixed_phospho_intermediate_values():
         "FS1": Fraction(1, 2),
         "FS2": Fraction(1, 2),
     }
+
+
+@pytest.mark.parametrize("name", ["phospho:2", "phospho:3", "mixed-phospho"])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_compiled_intermediates_are_the_matrix_tree_coefficients(name, data):
+    # each intermediate's term is mu(kappa) * x^source, with the source
+    # complex expanded over the chosen coordinates
+    net, part = NETWORKS[name]()
+    kappa = {r.rate_name: data.draw(RATIONAL_RATE) for r in net.reactions}
+    p = steady_state_parametrization(net, part, kappa)
+    mu = intermediate_coefficients(net, part, kappa)
+    assert sorted(mu) == sorted(part[0])
+    for sp, (value, source) in mu.items():
+        want = {(0,) * len(p.chosen): value}
+        for s, e in source:
+            for _ in range(e):
+                want = messi._tmul(want, p.terms[s])
+        assert p.terms[sp] == want
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +243,7 @@ def test_graph_helpers_match_brute_force(graph):
             for v in range(n):
                 if (u, w) in reach and (w, v) in reach:
                     reach.add((u, v))
-    assert messi._strongly_connected(adj) == (len(reach) == n * n)
+    assert oracles._strongly_connected(adj) == (len(reach) == n * n)
 
     def simple_paths(u, v):
         # every ordering of every subset of the other nodes as the interior
@@ -231,8 +253,8 @@ def test_graph_helpers_match_brute_force(graph):
 
     counts = {(u, v): simple_paths(u, v) for u, v in permutations(range(n), 2)}
     for (u, v), count in counts.items():
-        assert messi._count_simple_paths(adj, u, v) == min(count, 2)
-    assert messi._unique_simple_paths(adj) == all(c == 1 for c in counts.values())
+        assert oracles._count_simple_paths(adj, u, v) == min(count, 2)
+    assert oracles._unique_simple_paths(adj) == all(c == 1 for c in counts.values())
 
 
 # ---------------------------------------------------------------------------

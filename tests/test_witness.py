@@ -368,6 +368,15 @@ def test_an_all_damped_stack_evaluates_the_whole_ladder_once_per_iteration(monke
             assert same_root(root, reference_newton(system, seed, "seed")[0])
 
 
+def test_armijo_bound_is_the_per_call_expression_bit_for_bit():
+    bound = witness.ARMIJO_BOUND
+    assert bound.tobytes() == (1 - 1e-4 * witness.ARMIJO_LADDER).tobytes()
+    assert bound[1:].tobytes() == (1 - 1e-4 * witness.ARMIJO_LADDER[1:]).tobytes()
+    for lam, b in zip(witness.ARMIJO_LADDER, bound):
+        assert float(b).hex() == (1 - 1e-4 * float(lam)).hex()
+    assert float(bound[0]).hex() == (1 - 1e-4 * 1.0).hex()
+
+
 def test_newton_steps_are_nan_rows_at_singular_jacobians():
     rng = np.random.default_rng(3)
     J, f = rng.normal(size=(7, 3, 3)), rng.normal(size=(7, 3))
