@@ -13,25 +13,18 @@ zero, obtained from a binomial system solved exactly in logarithms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
-import numpy as np
-
 from . import ratlin
-from .decoration import IndeterminateSign, _sign
+from .decoration import _sign
 
 __all__ = [
     "CayleyConfiguration",
     "cayley_configuration",
     "enumerate_mixed_simplices",
-    "exponent_matrix",
     "local_pairs",
     "mixed_decorated",
-    "is_mixed_decorated",
-    "solve_binomial",
-    "mixed_positive_solution",
 ]
 
 
@@ -86,8 +79,8 @@ def cayley_configuration(blocks):
 
 def enumerate_mixed_simplices(cay, first_only=False):
     """All mixed (2d-1)-simplices: two points per block, lifted points
-    linearly independent (equivalently the difference matrix of
-    :func:`exponent_matrix` is invertible)."""
+    linearly independent (equivalently the rows ``a_{j1} - a_{j2}`` of the
+    picked pairs are)."""
     pair_sets = []
     for i, b in enumerate(cay.blocks):
         off = cay.offsets[i]
@@ -111,12 +104,6 @@ def _block_pairs(cay, simplex):
     if any(len(p) != 2 for p in pairs):
         raise ValueError("not a mixed simplex: need exactly two points per block")
     return [tuple(sorted(p)) for p in pairs]
-
-
-def exponent_matrix(cay, simplex):
-    """Rows ``a_{j1} - a_{j2}`` (first d coordinates), one per block."""
-    return [tuple(cay.points[j1][k] - cay.points[j2][k] for k in range(cay.d))
-            for j1, j2 in _block_pairs(cay, simplex)]
 
 
 def local_pairs(cay, simplex):
@@ -148,34 +135,3 @@ def mixed_decorated(coeffs, simplices_pairs):
         return True
 
     return [decorated(pairs) for pairs in simplices_pairs]
-
-
-def is_mixed_decorated(cay, coeffs, simplex):
-    """:func:`mixed_decorated` for one simplex."""
-    return mixed_decorated(coeffs, [local_pairs(cay, simplex)])[0]
-
-
-def solve_binomial(M, beta):
-    """Positive solution of ``x^{M_i} = beta_i`` with ``beta_i > 0``:
-    solve ``M log x = log beta``.  Verifies the round trip to 1e-12."""
-    Mf = np.array([[float(x) for x in row] for row in M], dtype=float)
-    b = np.array([math.log(float(x)) for x in beta])
-    u = np.linalg.solve(Mf, b)
-    x = np.exp(u)
-    for row, bi in zip(Mf, beta):
-        val = float(np.prod(x ** row))
-        if abs(val - float(bi)) > 1e-12 * max(1.0, abs(float(bi))):
-            raise ArithmeticError("binomial round trip failed")
-    return x
-
-
-def mixed_positive_solution(cay, coeffs, simplex):
-    """The positive zero of the binomial square subsystem supported on a
-    mixed-decorated simplex: equation ``i`` reduces to
-    ``c_{i,j1} x^{a_{j1}} + c_{i,j2} x^{a_{j2}} = 0``."""
-    if not is_mixed_decorated(cay, coeffs, simplex):
-        raise ValueError("simplex is not mixed-decorated")
-    beta = [-float(coeffs[i][k2]) / float(coeffs[i][k1])
-            for i, (k1, k2) in enumerate(local_pairs(cay, simplex))]
-    return solve_binomial(exponent_matrix(cay, simplex), beta)
-

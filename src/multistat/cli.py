@@ -8,14 +8,16 @@ Commands::
     multistat subdivision  regular subdivisions of a point configuration
 
 Exit codes: 0 success, 2 malformed input, 3 structural-hypothesis failure
-or a rate that is not positive and finite, 4 witness search exhausted
-(inconclusive).  ``MULTISTAT_SEED`` fixes the lattice-seed jitter.
+or a rate or total that is not positive and finite, 4 witness search
+exhausted (inconclusive).  ``MULTISTAT_SEED`` (default 0) seeds the lattice
+jitter of ``witness``.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -260,7 +262,7 @@ def cmd_witness(args):
                        % (witness.MAX_BUDGET, args.budget), EXIT_PARSE)
     seed = os.environ.get("MULTISTAT_SEED", "0")
     try:
-        int(seed)
+        rng = random.Random(int(seed))
     except ValueError:
         raise CliError("MULTISTAT_SEED must be an integer, not %r" % seed, EXIT_PARSE)
     net, partition, kappa, totals = _load_network(args)
@@ -280,7 +282,7 @@ def cmd_witness(args):
             _finish(doc, args, lines)
             return EXIT_HYPOTHESIS
         rep = witness.mixed_witness_search(
-            region.cfg, region.C, mixed_rep, budget=args.budget)
+            region.cfg, region.C, mixed_rep, budget=args.budget, rng=rng)
         doc["witness"] = _witness_stage(rep)
         lines.append("mixed family of %d simplices" % len(mixed_rep.best.simplices))
     else:
@@ -290,8 +292,7 @@ def cmd_witness(args):
             _finish(doc, args, lines)
             return EXIT_HYPOTHESIS
         rep = witness.witness_search(
-            region.cfg, region.C, best, budget=args.budget,
-            context=(net, partition, kappa, totals, region))
+            region.cfg, region.C, best, budget=args.budget, rng=rng, region=region)
         doc["witness"] = _witness_stage(rep)
         lines.append("family of %d simplices: %s" % (
             len(best.simplices), ", ".join(str(tuple(s)) for s in best.simplices)))

@@ -15,7 +15,6 @@ number of positive zeros.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -25,13 +24,11 @@ from . import ratlin
 __all__ = [
     "IndeterminateSign",
     "positively_spanning",
-    "spanning_kernel_vector",
     "is_decorated",
     "find_decorated",
     "grow_families",
     "DecoratedFamily",
     "DecorationReport",
-    "restricted_positive_solution",
 ]
 
 
@@ -70,12 +67,6 @@ def _signed_minors(M):
         return out, True
     out = [(-1) ** i * ratlin.minor(M, i) for i in range(d + 1)]
     return out, False
-
-
-def spanning_kernel_vector(M):
-    """Kernel vector of a d x (d+1) matrix given by signed maximal minors."""
-    v, _ = _signed_minors(M)
-    return v
 
 
 def positively_spanning(M):
@@ -256,39 +247,3 @@ def find_decorated(cfg, C):
                 for family in table.grow(decorated)]
     families.sort(key=lambda f: (-len(f.simplices), f.simplices))
     return DecorationReport(decorated, facet_pairs, families, indeterminate)
-
-
-def restricted_positive_solution(cfg, C, simplex):
-    """The unique positive zero of the square subsystem supported on a
-    positively decorated simplex.
-
-    With ``v`` the positive kernel vector of the coefficient submatrix, the
-    zero satisfies ``x^{a_k} = lambda * v_k`` for a scalar ``lambda > 0``;
-    taking logarithms gives a nonsingular linear system in
-    ``(log x, log lambda)``.  Returns the float vector ``x``.
-    """
-    import numpy as np
-
-    sub = [[row[j] for j in simplex] for row in C]
-    if not positively_spanning(sub):
-        raise ValueError("simplex is not positively decorated")
-    v = spanning_kernel_vector(sub)
-    if float(v[0]) < 0:
-        v = [-x for x in v]
-    d = cfg.d
-    pts = [cfg.points[j] for j in simplex]
-    M = np.zeros((d + 1, d + 1))
-    rhs = np.zeros(d + 1)
-    for k, a in enumerate(pts):
-        M[k, :d] = a
-        M[k, d] = -1.0
-        rhs[k] = math.log(float(v[k]))
-    sol = np.linalg.solve(M, rhs)
-    x = np.exp(sol[:d])
-    # residual check against the restricted system
-    for row in C:
-        val = sum(float(row[j]) * float(np.prod(x ** np.array(a))) for j, a in zip(simplex, pts))
-        scale = sum(abs(float(row[j])) * float(np.prod(x ** np.array(a))) for j, a in zip(simplex, pts))
-        if scale > 0 and abs(val) > 1e-9 * scale:
-            raise ArithmeticError("restricted solution residual too large")
-    return x

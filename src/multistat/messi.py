@@ -39,13 +39,11 @@ from .points import PointConfiguration
 
 __all__ = [
     "MessiError",
-    "validate_partition",
     "classify_complexes",
     "MessiModel",
     "messi_model",
     "Parametrization",
     "steady_state_parametrization",
-    "messi_conservation",
     "RegionSystem",
     "assemble_region_system",
     "RescaleResult",
@@ -128,11 +126,6 @@ def _reaches_through(adj, intermediate, start):
     return seen
 
 
-def validate_partition(net, partition):
-    """List of structural violations (empty iff the partition is valid)."""
-    return list(messi_model(net, partition).violations)
-
-
 @dataclass(frozen=True, eq=False)
 class MessiModel:
     """The rate-independent structure of a network under one partition and
@@ -153,7 +146,10 @@ class MessiModel:
 
     @cached_property
     def laws(self):
-        """The block conservation laws of :func:`messi_conservation`."""
+        """Block-wise 0/1 conservation laws: block alpha's law sums its
+        species plus every intermediate fed (through intermediates) from a
+        core complex containing a block-alpha species.  Verified to lie in
+        the left kernel of the stoichiometric matrix, and independent."""
         net = self.net
         N = net.stoichiometric_matrix()
         laws = []
@@ -646,14 +642,6 @@ def _verify_parametrization(net, param, polys):
 # conservation laws and the region system
 # ---------------------------------------------------------------------------
 
-def messi_conservation(net, partition):
-    """Block-wise 0/1 conservation laws: block alpha's law sums its species
-    plus every intermediate fed (through intermediates) from a core complex
-    containing a block-alpha species.  Verified to lie in the left kernel
-    of the stoichiometric matrix, and independent."""
-    return [list(law) for law in messi_model(net, partition).laws]
-
-
 @dataclass
 class RegionSystem:
     cfg: PointConfiguration
@@ -663,6 +651,7 @@ class RegionSystem:
     parametrization: Parametrization
     laws: tuple  # the model's laws, shared and read-only
     column_symbols: list
+    model: MessiModel  # the structure it was assembled on
 
     @property
     def constant_column(self):
@@ -678,17 +667,19 @@ def assemble_region_system(net, partition, kappa, totals, chosen=None, param=Non
     conservation laws and collect like monomials.
 
     Row ``alpha`` is ``sum_j C[alpha][j] x^{a_j} = 0`` including the
-
     constant column ``-T_alpha`` at exponent 0; the exponents form the
-    point configuration of the region system.
+    point configuration of the region system.  Every total must be positive
+    and finite.
     """
     if param is None:
         param = steady_state_parametrization(net, partition, kappa, chosen)
     chosen = param.chosen
-    laws = messi_model(net, partition, chosen).laws
+    model = messi_model(net, partition, chosen)
+    laws = model.laws
     m = len(laws)
     if len(totals) != m:
         raise MessiError("need one total per conservation law (%d)" % m)
+    _positive_finite((("T%d" % (b + 1), t) for b, t in enumerate(totals)), "total")
     rows = []
     for b, law in enumerate(laws):
         poly = {}
@@ -707,7 +698,7 @@ def assemble_region_system(net, partition, kappa, totals, chosen=None, param=Non
         "%s^%d" % (sp, ei) if ei != 1 else sp
         for sp, ei in zip(chosen, e) if ei
     ) or "1" for e in columns]
-    return RegionSystem(cfg, C, chosen, list(totals), param, laws, symbols)
+    return RegionSystem(cfg, C, chosen, list(totals), param, laws, symbols, model)
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +721,9 @@ def _positive_finite(items, what):
             raise MessiError("%s %s = %s is not positive and finite" % (what, name, v))
 
 
-def rescale_back(net, partition, kappa, totals, gamma, chosen=None, region=None):
-    """Rate constants ``kappa_bar`` whose region system equals the original
-    one scaled column-wise by ``gamma``.
+def rescale_back(region, gamma):
+    """Rate constants ``kappa_bar`` whose region system equals ``region``
+    scaled column-wise by ``gamma``.
 
     ``gamma`` is normalized first: the constant column is divided out and
     the chosen-variable columns are absorbed into a variable change
@@ -740,29 +731,21 @@ def rescale_back(net, partition, kappa, totals, gamma, chosen=None, region=None)
     exponent of each remaining column in the per-reactant-complex scaling
     comes from :attr:`MessiModel.rescale_exponents`, the linear system is
     solved in logarithms, and the postcondition ``C(kappa_bar) = C(kappa) *
-    diag(gamma_eff)`` is verified to 1e-9 on an assembly at ``kappa_bar``,
-    returned as ``region``.  ``C(kappa)`` is ``region`` itself when that was
-    assembled at these rates and at exact totals equal to these.  A scaling that is
-    not realizable or leaves the float range raises :class:`MessiError`.
+    diag(gamma_eff)`` is verified to 1e-9 on an assembly at ``kappa_bar``
+    and the region's totals, returned as ``region``.  ``kappa`` and
+    ``C(kappa)`` are the region's own exact rates and coefficients.  A
+    scaling that is not realizable or leaves the float range raises
+    :class:`MessiError`.
     """
     import numpy as np
 
-    if region is None:
-        region = assemble_region_system(net, partition, kappa, totals, chosen)
+    model = region.model
     chosen = region.chosen
     cols = region.cfg.points
     n = len(cols)
     if len(gamma) != n:
         raise MessiError("need one scale per column")
-    rates = net.rates(kappa)
-    _positive_finite(rates.items(), "rate")
-    names, exponents = messi_model(net, partition, chosen).rescale_exponents
-    exact = {k: Fraction(v) for k, v in rates.items()}
-    if (region.parametrization.rates == exact and region.totals == list(totals)
-            and all(isinstance(v, (int, Fraction)) for v in [*region.totals, *totals])):
-        base = region
-    else:
-        base = assemble_region_system(net, partition, exact, totals, chosen)
+    names, exponents = model.rescale_exponents
     const = region.constant_column
     unit_cols = region.chosen_columns()
     active = [j for j in range(n) if j != const and j not in unit_cols]
@@ -792,21 +775,21 @@ def rescale_back(net, partition, kappa, totals, gamma, chosen=None, region=None)
         else:
             sol = np.zeros(0)
         multipliers = {y: math.exp(s) for y, s in zip(names, sol)}
-        kbar = {k: float(v) for k, v in rates.items()}
+        kbar = {k: float(v) for k, v in region.parametrization.rates.items()}
     except (OverflowError, ZeroDivisionError) as e:
         raise MessiError("column scaling leaves the float range (%s)" % e)
     for y, ell in multipliers.items():
-        for r in net.reactions:
+        for r in model.net.reactions:
             if r.source == y:
                 kbar[r.rate_name] *= ell
     # postcondition
-    scaled = assemble_region_system(net, partition, kbar, totals, chosen)
-    if scaled.cfg.points != base.cfg.points:
+    scaled = assemble_region_system(model.net, model.partition, kbar, region.totals, chosen)
+    if scaled.cfg.points != region.cfg.points:
         raise MessiError("rescaled system changed support")
     worst = 0.0
-    for a in range(len(base.C)):
+    for a in range(len(region.C)):
         for j in range(n):
-            want = float(base.C[a][j]) * ghat[j]
+            want = float(region.C[a][j]) * ghat[j]
             got = float(scaled.C[a][j])
             scale = max(abs(want), abs(got), 1e-300)
             worst = max(worst, abs(want - got) / scale)

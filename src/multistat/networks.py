@@ -150,18 +150,6 @@ class Network:
                 del p[m]
         return polys
 
-    def evaluate(self, polys, x):
-        out = []
-        for p in polys:
-            total = 0.0
-            for mono, c in p.items():
-                term = float(c)
-                for e, xi in zip(mono, x):
-                    term *= float(xi) ** e
-                total += term
-            out.append(total)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -393,7 +381,11 @@ def builtin_network(key):
     if key in ("mixed-phospho", "mixed_phospho"):
         return mixed_phosphorylation()
     if key.startswith("phospho:"):
-        return phosphorylation(int(key.split(":", 1)[1]))
+        try:
+            n = int(key.split(":", 1)[1])
+        except ValueError:
+            raise ValueError("unknown builtin %r" % key) from None
+        return phosphorylation(n)
     raise ValueError("unknown builtin %r" % key)
 
 

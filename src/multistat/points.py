@@ -117,11 +117,8 @@ class ConeDescription:
     normals: list
     dim: int
 
-    def contains(self, h):
-        return all(sum(Fraction(a) * Fraction(x) for a, x in zip(m, h)) > 0 for m in self.normals)
-
-    def interior_point(self, zero_coords=()):
-        return ratlin.strict_feasible(self.normals, zero_coords)
+    def interior_point(self):
+        return ratlin.strict_feasible(self.normals)
 
 
 def cone_normals(matrix, simplex):
@@ -193,11 +190,6 @@ class Subdivision:
 
     cells: list  # sorted tuples of point indices
     heights: list
-
-    def contains_simplex(self, simplex):
-        """A simplex occurs in the subdivision iff its vertex set equals the
-        marked set of some cell exactly."""
-        return tuple(sorted(simplex)) in {tuple(c) for c in self.cells}
 
 
 def regular_subdivision(cfg, heights):

@@ -11,9 +11,7 @@ module provides
 * determinants by fraction-free (Bareiss) elimination,
 * an exact simplex method for linear programs over the rationals,
 * strict feasibility certificates for open polyhedral cones
-  ``{h : <m_r, h> > 0 for all r}``,
-* Fourier-Motzkin elimination for strict homogeneous systems, used as an
-  independent feasibility oracle in the test-suite.
+  ``{h : <m_r, h> > 0 for all r}``.
 """
 
 from __future__ import annotations
@@ -287,71 +285,64 @@ def lp_feasible(A_ge, b_ge):
     return [x[i] - x[n + i] for i in range(n)]
 
 
-def strict_feasible(normals, zero_coords=()):
+def strict_feasible(normals):
     """Interior point of the open cone ``{h : <m, h> > 0 for all m}``.
 
     Maximizes the slack ``s`` subject to ``<m_r, h> >= s``, ``-1 <= h_i <= 1``
     and ``0 <= s <= 1``; the cone is nonempty iff the optimum is positive.
-    Coordinates listed in ``zero_coords`` are pinned to 0.  Returns the
-    rational point ``h`` or ``None`` if the cone is empty.
+    Returns the rational point ``h`` or ``None`` if the cone is empty.
     """
     normals = [list(m) for m in normals]
     if not normals:
         return []
     n = len(normals[0])
-    zero = set(zero_coords)
-    free = [i for i in range(n) if i not in zero]
-    nf = len(free)
-    # variables: u_i in [0,2] (h_i = u_i - 1) for free coords, s in [0,1],
-    # surplus t_r, slacks v_i, w.
+    # variables: u_i in [0,2] (h_i = u_i - 1), s in [0,1], surplus t_r,
+    # slacks v_i, w.
     nm = len(normals)
-    nvars = nf + 1 + nm + nf + 1
+    nvars = n + 1 + nm + n + 1
     A, b = [], []
     for r, mvec in enumerate(normals):
         row = [0] * nvars
-        for k, i in enumerate(free):
-            row[k] = mvec[i]
-        row[nf] = -1  # -s
-        row[nf + 1 + r] = -1  # surplus
+        row[:n] = mvec
+        row[n] = -1  # -s
+        row[n + 1 + r] = -1  # surplus
         A.append(row)
-        b.append(sum(mvec[i] for i in free))  # <m, 1>
-    for k in range(nf):
+        b.append(sum(mvec))  # <m, 1>
+    for k in range(n):
         row = [0] * nvars
         row[k] = 1
-        row[nf + 1 + nm + k] = 1
+        row[n + 1 + nm + k] = 1
         A.append(row)
         b.append(2)
     row = [0] * nvars
-    row[nf] = 1
+    row[n] = 1
     row[nvars - 1] = 1
     A.append(row)
     b.append(1)
     c = [0] * nvars
-    c[nf] = -1  # maximize s
+    c[n] = -1  # maximize s
     status, x, objective = solve_standard_lp(A, b, c)
     if status != "optimal":
         raise LPError("slack LP failed: %s" % status)
-    s = x[nf]
+    s = x[n]
     if s <= 0:
         return None
-    h = [Fraction(0)] * n
-    for k, i in enumerate(free):
-        h[i] = x[k] - 1
+    h = [xk - 1 for xk in x[:n]]
     for mvec in normals:
         if sum(Fraction(a) * hh for a, hh in zip(mvec, h)) <= 0:
             raise LPError("slack LP returned a point outside the open cone")
     return h
 
 
-def strict_feasible_fast(normals, zero_coords=()):
+def strict_feasible_fast(normals):
     """Float-accelerated version of :func:`strict_feasible`.
 
     HiGHS solves the same slack LP in double precision.  A proposed
     interior point is rationalized and re-verified exactly.  A proposed
     rejection stands only with an exact Gordan certificate: on the support
-    of the LP duals, some ``y >= 0``, ``y != 0`` has ``sum y_r m_r = 0`` on
-    the free coordinates.  Whenever a check fails, :func:`strict_feasible`
-    decides, so both answers are always correct.
+    of the LP duals, some ``y >= 0``, ``y != 0`` has ``sum y_r m_r = 0``.
+    Whenever a check fails, :func:`strict_feasible` decides, so both
+    answers are always correct.
     """
     from scipy.optimize import linprog
 
@@ -359,33 +350,27 @@ def strict_feasible_fast(normals, zero_coords=()):
     if not normals:
         return []
     n = len(normals[0])
-    zero = set(zero_coords)
     # variables h_1..h_n, s; maximize s with <m, h> >= s, |h| <= 1, s <= 1
     A_ub = [[-float(mi) for mi in m] + [1.0] for m in normals]
     b_ub = [0.0] * len(normals)
-    bounds = [(0.0, 0.0) if i in zero else (-1.0, 1.0) for i in range(n)]
-    bounds.append((0.0, 1.0))
+    bounds = [(-1.0, 1.0)] * n + [(0.0, 1.0)]
     c = [0.0] * n + [-1.0]
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.success and res.x[n] > 1e-7:
         h = [Fraction(v).limit_denominator(10**6) for v in res.x[:n]]
-        for i in zero:
-            h[i] = Fraction(0)
         if all(sum(Fraction(a) * hh for a, hh in zip(m, h)) > 0 for m in normals):
             return h
-    elif res.success and _gordan_certified(
-            normals, -res.ineqlin.marginals, [i for i in range(n) if i not in zero]):
+    elif res.success and _gordan_certified(normals, -res.ineqlin.marginals):
         return None
-    return strict_feasible(normals, zero_coords)
+    return strict_feasible(normals)
 
 
-def _gordan_certified(normals, y, free):
+def _gordan_certified(normals, y):
     """Exact check of a float Gordan vector ``y``: whether some ``y' >= 0``,
-    ``y' != 0`` supported where ``y`` is positive has ``sum y'_r m_r = 0``
-    on the coordinates ``free``."""
+    ``y' != 0`` supported where ``y`` is positive has ``sum y'_r m_r = 0``."""
     tol = 1e-9 * max(y)
     support = [r for r, v in enumerate(y) if v > tol]
-    ker = kernel_basis([[normals[r][i] for r in support] for i in free])
+    ker = kernel_basis([[normals[r][i] for r in support] for i in range(len(normals[0]))])
     if len(ker) == 1:
         return all(x >= 0 for x in ker[0]) or all(x <= 0 for x in ker[0])
     if not ker:
@@ -394,15 +379,3 @@ def _gordan_certified(normals, y, free):
     A = [[v[j] for v in ker] for j in range(len(support))]
     A.append([sum(v) for v in ker])
     return lp_feasible(A, [0] * len(support) + [1]) is not None
-
-
-def cone_contains(normals, extra):
-    """Exact check that ``<extra, h> > 0`` holds on the whole open cone
-    ``{h : <m_r, h> > 0}``.  (Valid when the cone is nonempty.)
-
-    By homogeneity the cone is nonempty with slack 1, so the inequality is
-    implied iff ``{<m_r, h> >= 1, <extra, h> <= 0}`` is infeasible.
-    """
-    A = [list(m) for m in normals] + [[-x for x in extra]]
-    b = [1] * len(normals) + [0]
-    return lp_feasible(A, b) is None

@@ -16,7 +16,6 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,15 +23,12 @@ from fractions import Fraction
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from . import cayley, decoration, messi, ratlin
+from . import cayley, decoration, messi
 
 __all__ = [
-    "phi_map",
     "DeformedSystem",
     "CertifiedRoot",
-    "newton_solve",
     "newton_solve_many",
-    "count_positive_roots",
     "exclusion_boxes",
     "validate_root_set",
     "WitnessReport",
@@ -52,28 +48,6 @@ ARMIJO_BOUND = 1 - 1e-4 * ARMIJO_LADDER
 # seeds iterated together; bounds a line-search stack at 26 points per seed
 NEWTON_BLOCK = 256
 MAX_BUDGET = 1074  # the longest schedule: 2^-1075 is 0 in doubles
-
-
-def phi_map(cfg, alpha, t, h):
-    """Positive coefficient scalings ``gamma_j = alpha^{(1, a_j)} t^{h_j}``.
-
-    ``alpha`` has ``d + 1`` positive entries; every vector ``m`` in the
-    kernel of the configuration matrix satisfies
-    ``gamma^m = t^{<m, h>}``, so all scalings produced this way deform the
-    system inside the same height class.
-    """
-    alpha = [float(a) for a in alpha]
-    if len(alpha) != cfg.d + 1 or any(a <= 0 for a in alpha):
-        raise ValueError("need %d positive entries" % (cfg.d + 1))
-    if not 0 < t <= 1:
-        raise ValueError("t must lie in (0, 1]")
-    gamma = []
-    for j, a in enumerate(cfg.points):
-        val = alpha[0]
-        for k, e in enumerate(a):
-            val *= alpha[k + 1] ** e
-        gamma.append(val * t ** float(h[j]))
-    return gamma
 
 
 def _row_max(a):
@@ -154,11 +128,6 @@ class DeformedSystem:
         terms = self._scaled_term_values(u, which)
         return terms.sum(axis=-1), terms @ self.exponents
 
-    def residual(self, u, which=None):
-        """Max-norm of the row-scaled residual per point; NaN if not evaluable."""
-        res = _row_max(np.abs(self._scaled_term_values(u, which).sum(axis=-1)))
-        return float(res) if res.ndim == 0 else res
-
     def _scaled_term_values(self, u, which=None):
         w = self.scaled_terms(u, which)
         top = _row_max(w)[..., None]
@@ -178,11 +147,6 @@ class CertifiedRoot:
 
     def distinct_from(self, other):
         return float(np.abs(self.log_x - other.log_x).max()) > DISTINCT_TOL
-
-
-def newton_solve(system, seed, basin="seed"):
-    """:func:`newton_solve_many` for a single seed."""
-    return newton_solve_many(system, [seed], [basin])[0]
 
 
 def newton_solve_many(system, seeds, basins, which=None):
@@ -374,16 +338,6 @@ def _distinct(found):
     return roots
 
 
-def count_positive_roots(system, family=None, rng=None):
-    """Distinct certified positive roots found from decorated-subsystem
-    seeds plus a logarithmic lattice; deduplicated by log-coordinate
-    max-norm, earlier seeds win ties."""
-    simplices = family.simplices if family is not None else []
-    seeds = _with_lattice(system, [
-        ("simplex %s" % (tuple(s),), _simplex_seed(system, s)) for s in simplices], rng)
-    return _distinct(newton_solve_many(system, [s for _, s in seeds], [b for b, _ in seeds]))
-
-
 # ---------------------------------------------------------------------------
 # rectangle exclusion (two variables)
 # ---------------------------------------------------------------------------
@@ -442,23 +396,24 @@ def _solve_boxes(system, boxes):
     return centres, newton_solve_many(system, centres, ["exclusion box"] * len(boxes))
 
 
-def validate_root_set(system, roots, max_depth=16, refine_depth=14):
+def validate_root_set(system, roots):
     """Search every unexcluded box for roots the seeds may have missed.
 
     Newton is started from the center of each surviving box; any certified
     root distinct from the known ones is returned so the caller can fail
-    loudly.  A box whose iteration does not converge is subdivided further
-    (interval bounds overestimate near a vanishing equation); only boxes
-    that survive the refinement too are reported as unresolved.
+    loudly.  A box of the depth-16 sweep whose iteration does not converge
+    is subdivided 14 levels further (interval bounds overestimate near a
+    vanishing equation); only boxes that survive the refinement too are
+    reported as unresolved.
     """
-    boxes = exclusion_boxes(system, max_depth=max_depth)
+    boxes = exclusion_boxes(system)
     centres, found = _solve_boxes(system, boxes)
     refine = {}
     for b, ((lo, hi), centre, root) in enumerate(zip(boxes, centres, found)):
         width = max(hi[0] - lo[0], hi[1] - lo[1]) + 1e-3
         if root is None and not any(
                 np.max(np.abs(np.log(centre) - r.log_x)) <= width for r in roots):
-            refine[b] = exclusion_boxes(system, lo, hi, refine_depth)
+            refine[b] = exclusion_boxes(system, lo, hi, 14)
     sub = [box for subs in refine.values() for box in subs]
     sub_found = iter(_solve_boxes(system, sub)[1] if sub else ())
     missed, unresolved = [], []
@@ -487,28 +442,29 @@ class WitnessReport:
     gamma: list  # t*^{h_j}, else None
     roots: list  # CertifiedRoot list at t*
     log: list  # (t, number of certified roots) per schedule step
-    kappa_bar: dict = None  # rescaled rate constants (network context)
+    kappa_bar: dict = None  # rescaled rate constants (with a region system)
     chosen_scale: dict = None
     species_roots: list = None  # full concentration vectors at kappa_bar
     rescale: object = None
 
 
-def witness_search(cfg, C, family, h=None, budget=60, rng=None, context=None):
-    """Walk the geometric schedule ``t = 2^-1, ..., 2^-budget`` and stop at
-    the first ``t`` whose certified-root count reaches the family size.
+def witness_search(cfg, C, family, budget=60, rng=None, region=None):
+    """Walk the geometric schedule ``t = 2^-1, ..., 2^-budget`` along the
+    family's height ``h`` and stop at the first ``t`` whose certified-root
+    count reaches the family size.
 
     Exhausting the schedule is inconclusive: the report never claims the
-    required roots do not exist.  With a network ``context`` the success
-    scalings ``gamma = t*^h`` are pushed back into rate constants and the
-    roots are mapped to full concentration vectors.
+    required roots do not exist.  When ``(cfg, C)`` is the network
+    ``region`` system, the success scalings ``gamma = t*^h`` are pushed back
+    into rate constants and the roots are mapped to full concentration
+    vectors.  ``rng`` (default ``random.Random(0)``) draws the lattice jitter.
     """
-    if h is None:
-        h = family.height
+    h = family.height
     if h is None:
         raise ValueError("family has no realizable height")
     report = _schedule(cfg, C, family, list(h), h, budget, rng, "simplex", _simplex_seed)
-    if report.status == "success" and context is not None:
-        _attach_network(report, context)
+    if report.status == "success" and region is not None:
+        _attach_network(report, region)
     return report
 
 
@@ -521,7 +477,7 @@ def _schedule(cfg, C, family, height, H, budget, rng, label, seed_of):
     the report is that of one step at a time (``rng`` may be read further)."""
     if budget > MAX_BUDGET:
         raise ValueError("budget must be at most %d: a smaller t is 0 in doubles" % MAX_BUDGET)
-    rng = _default_rng() if rng is None else rng
+    rng = random.Random(0) if rng is None else rng
     p = len(family.simplices)
     most = max(1, NEWTON_BLOCK // 2 // (p + 5 ** cfg.d))
     log, first, k = [], 1, 1
@@ -546,29 +502,24 @@ def _schedule(cfg, C, family, height, H, budget, rng, label, seed_of):
     return WitnessReport("exhausted", family, height, None, None, [], log)
 
 
-def _default_rng():
-    seed = os.environ.get("MULTISTAT_SEED")
-    return random.Random(int(seed)) if seed is not None else random.Random(0)
-
-
-def _attach_network(report, context):
+def _attach_network(report, region):
     """Push the witness scalings back into rate constants and map every
     certified root to a full concentration vector, re-validated against
     the conservation laws."""
-    net, partition, kappa, totals, region = context
-    res = messi.rescale_back(net, partition, kappa, totals, report.gamma, region=region)
+    res = messi.rescale_back(region, report.gamma)
     report.rescale, report.kappa_bar, report.chosen_scale = res, res.kappa_bar, res.chosen_scale
+    species = region.model.net.species
     species_roots = []
     for root in report.roots:
         xbar = [res.chosen_scale[sp] * float(v) for sp, v in zip(region.chosen, root.x)]
         vals = res.region.parametrization.evaluate(xbar)
-        vec = [float(vals[sp]) for sp in net.species]
-        for law, T in zip(region.laws, totals):
+        vec = [float(vals[sp]) for sp in species]
+        for law, T in zip(region.laws, region.totals):
             total = sum(float(l) * v for l, v in zip(law, vec))
             if abs(total - float(T)) > 1e-8 * max(abs(float(T)), 1.0):
                 raise ArithmeticError("mapped root violates a conservation law "
                                       "(got %g, expected %g)" % (total, float(T)))
-        species_roots.append(dict(zip(net.species, vec)))
+        species_roots.append(dict(zip(species, vec)))
     report.species_roots = species_roots
     return report
 
@@ -637,9 +588,10 @@ def _mixed_simplex_seed(system, report, simplex):
     return np.exp(u)
 
 
-def mixed_witness_search(cfg, C, report=None, family=None, budget=60, rng=None):
-    """Decreasing-t search along a per-coefficient height of a family of
-    mixed-decorated simplices.
+def mixed_witness_search(cfg, C, report=None, budget=60, rng=None):
+    """Decreasing-t search along a per-coefficient height of the largest
+    family of mixed-decorated simplices of ``report`` (by default
+    :func:`mixed_decoration` of ``(cfg, C)``).
 
     The deformation scales every coefficient independently (one height per
     Cayley point), so no rate-constant pullback is attempted; the result
@@ -647,8 +599,7 @@ def mixed_witness_search(cfg, C, report=None, family=None, budget=60, rng=None):
     """
     if report is None:
         report = mixed_decoration(cfg, C)
-    if family is None:
-        family = report.best
+    family = report.best
     if family is None or family.height is None:
         raise ValueError("no realizable mixed-decorated family")
     # one height per coefficient of the region system
@@ -675,10 +626,7 @@ def certify_multistationarity(net, partition, kappa, totals, chosen=None,
     best = decor.best
     if best is None:
         return decor, None
-    report = witness_search(
-        region.cfg, region.C, best, budget=budget, rng=rng,
-        context=(net, partition, kappa, totals, region),
-    )
+    report = witness_search(region.cfg, region.C, best, budget=budget, rng=rng, region=region)
     report.decoration = decor
     report.region = region
     return decor, report

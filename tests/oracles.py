@@ -1,8 +1,10 @@
 """Independent oracles that only the tests use: literal enumerations, the
 affine relation of a circuit, the depth-first exclusion sweep the
-package's level-synchronous one must reproduce, a two-simplex height, and
-the MESSI graph layer (Matrix-Tree elimination of intermediates and the
-association graphs of ``s_toric_check``)."""
+package's level-synchronous one must reproduce, a two-simplex height, the
+MESSI graph layer (Matrix-Tree elimination of intermediates and the
+association graphs of ``s_toric_check``), and the closed-form positive
+zeros, coefficient scalings and membership tests the package does not
+need."""
 
 import math
 from dataclasses import dataclass
@@ -11,9 +13,12 @@ from itertools import permutations, product
 
 import numpy as np
 
+from multistat import witness
+from multistat.cayley import _block_pairs, local_pairs, mixed_decorated
+from multistat.decoration import _signed_minors, positively_spanning
 from multistat.messi import MessiError, messi_model
 from multistat.points import ConeDescription, _interpolator, cone_normals, shares_facet
-from multistat.ratlin import determinant, kernel_basis, primitive
+from multistat.ratlin import determinant, kernel_basis, lp_feasible, primitive
 
 
 def fourier_motzkin_feasible(normals):
@@ -453,4 +458,157 @@ def s_toric_check(net, partition, kappa=None):
     out["weakly_reversible"] = wr = all(map(_strongly_connected, graphs))
     out["unique_simple_paths"] = usp = all(map(_unique_simple_paths, graphs))
     out["quotient_condition"] = "verified" if (usp and wr) else "not verified"
+    return out
+
+
+# ---------------------------------------------------------------------------
+# closed-form positive zeros, scalings and membership tests
+# ---------------------------------------------------------------------------
+
+def phi_map(cfg, alpha, t, h):
+    """Positive coefficient scalings ``gamma_j = alpha^{(1, a_j)} t^{h_j}``.
+
+    ``alpha`` has ``d + 1`` positive entries; every vector ``m`` in the
+    kernel of the configuration matrix satisfies
+    ``gamma^m = t^{<m, h>}``, so all scalings produced this way deform the
+    system inside the same height class.
+    """
+    alpha = [float(a) for a in alpha]
+    if len(alpha) != cfg.d + 1 or any(a <= 0 for a in alpha):
+        raise ValueError("need %d positive entries" % (cfg.d + 1))
+    if not 0 < t <= 1:
+        raise ValueError("t must lie in (0, 1]")
+    gamma = []
+    for j, a in enumerate(cfg.points):
+        val = alpha[0]
+        for k, e in enumerate(a):
+            val *= alpha[k + 1] ** e
+        gamma.append(val * t ** float(h[j]))
+    return gamma
+
+
+def residual(system, u, which=None):
+    """Max-norm of the row-scaled residual of a ``DeformedSystem`` per
+    point; NaN if not evaluable."""
+    res = witness._row_max(np.abs(system._scaled_term_values(u, which).sum(axis=-1)))
+    return float(res) if res.ndim == 0 else res
+
+
+def count_positive_roots(system, family=None, rng=None):
+    """Distinct certified positive roots found from decorated-subsystem
+    seeds plus a logarithmic lattice; deduplicated by log-coordinate
+    max-norm, earlier seeds win ties."""
+    simplices = family.simplices if family is not None else []
+    seeds = witness._with_lattice(system, [
+        ("simplex %s" % (tuple(s),), witness._simplex_seed(system, s)) for s in simplices], rng)
+    return witness._distinct(witness.newton_solve_many(
+        system, [s for _, s in seeds], [b for b, _ in seeds]))
+
+
+def spanning_kernel_vector(M):
+    """Kernel vector of a d x (d+1) matrix given by signed maximal minors."""
+    return _signed_minors(M)[0]
+
+
+def restricted_positive_solution(cfg, C, simplex):
+    """The unique positive zero of the square subsystem supported on a
+    positively decorated simplex.
+
+    With ``v`` the positive kernel vector of the coefficient submatrix, the
+    zero satisfies ``x^{a_k} = lambda * v_k`` for a scalar ``lambda > 0``;
+    taking logarithms gives a nonsingular linear system in
+    ``(log x, log lambda)``.  Returns the float vector ``x``.
+    """
+    sub = [[row[j] for j in simplex] for row in C]
+    if not positively_spanning(sub):
+        raise ValueError("simplex is not positively decorated")
+    v = spanning_kernel_vector(sub)
+    if float(v[0]) < 0:
+        v = [-x for x in v]
+    d = cfg.d
+    pts = [cfg.points[j] for j in simplex]
+    M = np.zeros((d + 1, d + 1))
+    rhs = np.zeros(d + 1)
+    for k, a in enumerate(pts):
+        M[k, :d] = a
+        M[k, d] = -1.0
+        rhs[k] = math.log(float(v[k]))
+    x = np.exp(np.linalg.solve(M, rhs)[:d])
+    # residual check against the restricted system
+    for row in C:
+        terms = [float(row[j]) * float(np.prod(x ** np.array(a))) for j, a in zip(simplex, pts)]
+        if abs(sum(terms)) > 1e-9 * sum(map(abs, terms)):
+            raise ArithmeticError("restricted solution residual too large")
+    return x
+
+
+def exponent_matrix(cay, simplex):
+    """Rows ``a_{j1} - a_{j2}`` (first d coordinates), one per block."""
+    return [tuple(cay.points[j1][k] - cay.points[j2][k] for k in range(cay.d))
+            for j1, j2 in _block_pairs(cay, simplex)]
+
+
+def is_mixed_decorated(cay, coeffs, simplex):
+    """:func:`multistat.cayley.mixed_decorated` for one simplex."""
+    return mixed_decorated(coeffs, [local_pairs(cay, simplex)])[0]
+
+
+def solve_binomial(M, beta):
+    """Positive solution of ``x^{M_i} = beta_i`` with ``beta_i > 0``:
+    solve ``M log x = log beta``.  Verifies the round trip to 1e-12."""
+    Mf = np.array([[float(x) for x in row] for row in M], dtype=float)
+    b = np.array([math.log(float(x)) for x in beta])
+    x = np.exp(np.linalg.solve(Mf, b))
+    for row, bi in zip(Mf, beta):
+        val = float(np.prod(x ** row))
+        if abs(val - float(bi)) > 1e-12 * max(1.0, abs(float(bi))):
+            raise ArithmeticError("binomial round trip failed")
+    return x
+
+
+def mixed_positive_solution(cay, coeffs, simplex):
+    """The positive zero of the binomial square subsystem supported on a
+    mixed-decorated simplex: equation ``i`` reduces to
+    ``c_{i,j1} x^{a_{j1}} + c_{i,j2} x^{a_{j2}} = 0``."""
+    if not is_mixed_decorated(cay, coeffs, simplex):
+        raise ValueError("simplex is not mixed-decorated")
+    beta = [-float(coeffs[i][k2]) / float(coeffs[i][k1])
+            for i, (k1, k2) in enumerate(local_pairs(cay, simplex))]
+    return solve_binomial(exponent_matrix(cay, simplex), beta)
+
+
+def cone_contains(normals, extra):
+    """Exact check that ``<extra, h> > 0`` holds on the whole open cone
+    ``{h : <m_r, h> > 0}``.  (Valid when the cone is nonempty.)
+
+    By homogeneity the cone is nonempty with slack 1, so the inequality is
+    implied iff ``{<m_r, h> >= 1, <extra, h> <= 0}`` is infeasible.
+    """
+    A = [list(m) for m in normals] + [[-x for x in extra]]
+    b = [1] * len(normals) + [0]
+    return lp_feasible(A, b) is None
+
+
+def in_cone(cone, h):
+    """Whether ``h`` lies in the open cone of a ``ConeDescription`` (exact)."""
+    return all(sum(Fraction(a) * Fraction(x) for a, x in zip(m, h)) > 0 for m in cone.normals)
+
+
+def contains_simplex(sub, simplex):
+    """A simplex occurs in a ``Subdivision`` iff its vertex set equals the
+    marked set of some cell exactly."""
+    return tuple(sorted(simplex)) in {tuple(c) for c in sub.cells}
+
+
+def evaluate(polys, x):
+    """Float values of ``{exponent tuple: coefficient}`` polynomials at ``x``."""
+    out = []
+    for p in polys:
+        total = 0.0
+        for mono, c in p.items():
+            term = float(c)
+            for e, xi in zip(mono, x):
+                term *= float(xi) ** e
+            total += term
+        out.append(total)
     return out

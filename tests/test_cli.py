@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from multistat import report
+from multistat import cli, messi, networks, report, witness
 from multistat.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -146,6 +147,12 @@ def test_exit_code_bad_flags(capsys):
     assert main(["analyze", "--builtin", "nope", "--T", "1,1"]) == 2
 
 
+@pytest.mark.parametrize("name", ["nope", "phospho:x", "phospho:", "phospho:2.5"])
+def test_an_unknown_builtin_is_named(capsys, name):
+    assert main(["analyze", "--builtin", name, "--T", "1,1"]) == 2
+    assert capsys.readouterr().err == "error: unknown builtin %r\n" % name
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_exit_code_budget_not_positive(capsys, budget):
     assert main(["witness", *HK_ARGS, "--budget", budget]) == 2
@@ -163,6 +170,47 @@ def test_exit_code_seed_not_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("MULTISTAT_SEED", "abc")
     assert main(["witness", *HK_ARGS]) == 2
     assert "MULTISTAT_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_the_seed_variable_seeds_the_cli_search(tmp_path, monkeypatch, mixed):
+    net, part = networks.hybrid_kinase()
+    kappa = dict(zip(("k1", "k2", "k3", "k4", "k5", "k6"), map(Fraction, (1, 1, 2, 1, 1, 1))))
+    totals = [Fraction(7, 4), Fraction(1)]
+    search = "mixed_witness_search" if mixed else "witness_search"
+    states = []
+    real = getattr(witness, search)
+    monkeypatch.setattr(witness, search,
+                        lambda *a, **k: states.append(k["rng"].getstate()) or real(*a, **k))
+    monkeypatch.setenv("MULTISTAT_SEED", "5")
+    out = tmp_path / "seed5.json"
+    assert main(["witness", *HK_ARGS, "--quiet", "--out", str(out)] + ["--mixed"] * mixed) == 0
+    assert states == [random.Random(5).getstate()]
+    # the report of the library call with that generator
+    if mixed:
+        region = messi.assemble_region_system(net, part, kappa, totals)
+        rep = real(region.cfg, region.C, rng=random.Random(5))
+    else:
+        rep = witness.certify_multistationarity(net, part, kappa, totals,
+                                                rng=random.Random(5))[1]
+    want = json.loads(report.dumps(cli._witness_stage(rep)))
+    assert json.loads(out.read_text())["witness"] == want
+
+
+def test_the_seed_variable_leaves_a_library_call_unchanged(monkeypatch):
+    net, part = networks.hybrid_kinase()
+    kappa, totals = dict(zip(("k1", "k2", "k3", "k4", "k5", "k6"), (1, 1, 2, 1, 1, 1))), [1.75, 1]
+    states = []
+    real = witness._lattice_seeds
+    monkeypatch.setattr(witness, "_lattice_seeds",
+                        lambda d, rng: states.append(rng.getstate()) or real(d, rng))
+    monkeypatch.setenv("MULTISTAT_SEED", "5")
+    with_variable = witness.certify_multistationarity(net, part, kappa, totals)[1]
+    monkeypatch.delenv("MULTISTAT_SEED")
+    without = witness.certify_multistationarity(net, part, kappa, totals)[1]
+    assert states[0] == random.Random(0).getstate()
+    assert report.dumps(cli._witness_stage(with_variable)) == report.dumps(
+        cli._witness_stage(without))
 
 
 def test_exit_code_hypothesis_failure(capsys):

@@ -10,10 +10,9 @@ from multistat.decoration import (
     find_decorated,
     is_decorated,
     positively_spanning,
-    restricted_positive_solution,
-    spanning_kernel_vector,
 )
 from multistat.points import PointConfiguration
+from oracles import contains_simplex, restricted_positive_solution, spanning_kernel_vector
 
 HK_POINTS = [(1, 0), (0, 1), (1, 1), (1, 2), (0, 0)]
 
@@ -90,7 +89,7 @@ def test_hk_decoration_interval_case():
     assert best.height is not None
     sub = points.regular_subdivision(cfg, best.height)
     for s in best.simplices:
-        assert sub.contains_simplex(s)
+        assert contains_simplex(sub, s)
 
 
 def test_hk_decoration_outside_interval():

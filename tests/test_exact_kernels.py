@@ -303,7 +303,6 @@ def test_slack_lp_is_the_fraction_lp(rng):
     normals = [tuple(_rational(rng) for _ in range(n)) for _ in range(k)]
     if any(all(x == 0 for x in m) for m in normals):
         return
-    zero = [i for i in range(n) if rng.random() < 0.2]
     solve = ratlin.solve_standard_lp
     seen = []
 
@@ -315,7 +314,7 @@ def test_slack_lp_is_the_fraction_lp(rng):
 
     ratlin.solve_standard_lp = both
     try:
-        h = ratlin.strict_feasible(normals, zero)
+        h = ratlin.strict_feasible(normals)
     finally:
         ratlin.solve_standard_lp = solve
     assert len(seen) == 1

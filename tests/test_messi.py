@@ -14,10 +14,9 @@ from multistat.messi import (
     MessiError,
     assemble_region_system,
     default_chosen,
-    messi_conservation,
+    messi_model,
     rescale_back,
     steady_state_parametrization,
-    validate_partition,
 )
 from multistat.networks import (
     hybrid_kinase,
@@ -72,7 +71,7 @@ NETWORKS = {
 
 def test_builtin_partitions_valid():
     for net, part in ALL_BUILTINS:
-        assert validate_partition(net, part) == []
+        assert messi_model(net, part).violations == ()
 
 
 def test_invalid_partition_reported():
@@ -80,8 +79,7 @@ def test_invalid_partition_reported():
     # moving a core species into the intermediate block breaks the
     # singleton-complex requirement for intermediates
     bad = [["X1"], ["X2", "X3", "X4"], ["X5", "X6"]]
-    violations = validate_partition(net, bad)
-    assert violations
+    assert messi_model(net, bad).violations
     with pytest.raises(MessiError):
         steady_state_parametrization(net, bad, HK_KAPPA)
 
@@ -368,16 +366,12 @@ def test_default_chosen():
 
 def test_hk_block_conservation_laws():
     net, part = hybrid_kinase()
-    laws = messi_conservation(net, part)
-    assert laws == [
-        [1, 1, 1, 1, 0, 0],
-        [0, 0, 0, 0, 1, 1],
-    ]
+    assert messi_model(net, part).laws == ((1, 1, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1))
 
 
 def test_phospho_laws_include_fed_intermediates():
     net, part = phosphorylation(2)
-    laws = messi_conservation(net, part)
+    laws = messi_model(net, part).laws
     idx = net.index
     # blocks in partition order: E, F, substrate; the substrate law counts
     # every intermediate, the enzyme laws only those they feed
@@ -409,7 +403,7 @@ def test_region_rows_vanish_at_steady_states():
     x = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(3)]
     vals = p.evaluate(x)
     # choose totals so that x is a steady state of the constrained system
-    laws = messi_conservation(net, part)
+    laws = messi_model(net, part).laws
     totals = [sum(l[i] * vals[sp] for i, sp in enumerate(net.species)) for l in laws]
     region = assemble_region_system(net, part, kappa, totals, param=p)
     for row in region.C:
@@ -431,7 +425,7 @@ def test_hk_rescaling_changes_two_rates():
     t = 2.0 ** -10
     height = {(0, 0): 0, (0, 1): 3, (1, 0): 1, (1, 1): 0, (1, 2): 0}
     gamma = [t ** height[pt] for pt in region.cfg.points]
-    res = rescale_back(net, part, HK_KAPPA, totals, gamma, region=region)
+    res = rescale_back(region, gamma)
     changed = {k for k, v in res.kappa_bar.items() if abs(v - HK_KAPPA[k]) > 1e-9}
     assert changed == {"k4", "k5"}
     assert res.kappa_bar["k4"] == pytest.approx(t ** -3)
@@ -448,7 +442,7 @@ def test_phospho_rescaling_changes_only_binding_rates():
     region = assemble_region_system(net, part, kappa, totals)
     rng = random.Random(17)
     gamma = [2.0 ** rng.uniform(-4, 4) for _ in region.cfg.points]
-    res = rescale_back(net, part, kappa, totals, gamma, region=region)
+    res = rescale_back(region, gamma)
     changed = {k for k, v in res.kappa_bar.items() if abs(v - kappa[k]) > 1e-9}
     assert changed <= {"kon0", "kon1", "lon0", "lon1"}
     assert res.residual < 1e-9
@@ -464,7 +458,7 @@ def test_rescaling_postcondition_random():
         region = assemble_region_system(net, part, kappa, totals)
         for _ in range(10):
             gamma = [2.0 ** rng.uniform(-3, 3) for _ in region.cfg.points]
-            res = rescale_back(net, part, kappa, totals, gamma, region=region)
+            res = rescale_back(region, gamma)
             assert res.residual < 1e-9
             # independent check: rebuild the system at the new rates and
             # compare every coefficient against the scaled original
@@ -491,4 +485,4 @@ def test_unrealizable_scaling_rejected():
     rng = random.Random(23)
     gamma = [2.0 ** rng.uniform(-3, 3) for _ in region.cfg.points]
     with pytest.raises(MessiError, match="not realizable"):
-        rescale_back(net, part, kappa, totals, gamma, region=region)
+        rescale_back(region, gamma)

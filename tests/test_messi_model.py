@@ -19,11 +19,9 @@ from multistat.messi import (
     MessiError,
     assemble_region_system,
     classify_complexes,
-    messi_conservation,
     messi_model,
     rescale_back,
     steady_state_parametrization,
-    validate_partition,
 )
 from multistat.networks import (
     Network,
@@ -220,9 +218,9 @@ def test_rescale_matches_the_probe_on_the_7v_scalings():
                 want = reference_rescale_back(net, part, kappa, totals, gamma, region, probe)
             except MessiError:
                 with pytest.raises(MessiError):
-                    rescale_back(net, part, kappa, totals, gamma, region=region)
+                    rescale_back(region, gamma)
                 continue
-            res = rescale_back(net, part, kappa, totals, gamma, region=region)
+            res = rescale_back(region, gamma)
             got = (res.kappa_bar, res.multipliers, res.chosen_scale,
                    res.gamma_effective, res.residual)
             assert repr(got) == repr(want)
@@ -234,33 +232,25 @@ def test_rescale_matches_the_probe_on_the_7v_scalings():
     assert verdicts["mixed_phosphorylation"] < 100
 
 
-def test_rescale_reuses_an_exact_region_and_reassembles_otherwise(monkeypatch):
+def test_rescale_assembles_only_the_postcondition(monkeypatch):
     net, part = hybrid_kinase()
     totals = [Fraction(7, 4), 1]
     region = assemble_region_system(net, part, HK_KAPPA, totals)
     gamma = [2.0 ** v for v in (0, 3, 1, 0, 0)]
-    want = rescale_back(net, part, HK_KAPPA, totals, gamma, region=region)
+    want = rescale_back(region, gamma)
     calls = []
     real = messi.assemble_region_system
     monkeypatch.setattr(messi, "assemble_region_system",
-                        lambda *a, **k: calls.append(a[2]) or real(*a, **k))
-    rescale_back(net, part, HK_KAPPA, totals, gamma, region=region)
-    assert calls == [want.kappa_bar]  # only the postcondition
-    # a region assembled at float rates is exact as well, and reused
+                        lambda *a, **k: calls.append(a[2:4]) or real(*a, **k))
+    rescale_back(region, gamma)
+    # at the rescaled rates and the region's own totals
+    assert calls == [(want.kappa_bar, totals)]
+    # a region assembled at float rates holds the same exact rates
     calls.clear()
     float_kappa = {k: float(v) for k, v in HK_KAPPA.items()}
-    float_region = real(net, part, float_kappa, totals)
-    res = rescale_back(net, part, float_kappa, totals, gamma, region=float_region)
-    assert calls == [want.kappa_bar]
+    res = rescale_back(real(net, part, float_kappa, [1.75, 1.0]), gamma)
+    assert calls == [(want.kappa_bar, [1.75, 1.0])]
     assert res.kappa_bar == want.kappa_bar
-    # a region at other rates, or at other totals, is not the base
-    calls.clear()
-    rescale_back(net, part, dict(HK_KAPPA, k1=3), totals, gamma, region=region)
-    assert len(calls) == 2 and calls[0] == dict(HK_KAPPA, k1=3)
-    assert all(isinstance(v, Fraction) for v in calls[0].values())
-    calls.clear()
-    rescale_back(net, part, HK_KAPPA, [1.75, 1], gamma, region=region)
-    assert len(calls) == 2 and calls[0] == HK_KAPPA
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +356,7 @@ def test_a_vanishing_factor_of_both_signs_runs_the_route_at_kappa(monkeypatch):
     by_name = {r.rate_name: r for r in net.reactions}
     net = Network(["S0", "FS2", "F", "E", "FS1", "ES1", "S1", "ES0", "S2"],
                   [by_name["k%d" % i] for i in (9, 10, 1, 5, 4, 3, 2, 7, 6, 8)], name=net.name)
-    assert validate_partition(net, part) == []
+    assert messi_model(net, part).violations == ()
     factors, _, route = messi_model(net, part).compiled
     mixed = [poly for poly in factors.polys[:route] if min(poly.values()) < 0]
     assert [sorted(c for c in poly.values()) for poly in mixed] == [[-1, 1]]
@@ -401,19 +391,19 @@ def test_same_name_other_reactions_gets_its_own_model():
         dataclasses.replace(last, target=(("X4", 1),))], name=net.name)
     a, b = messi_model(net, part), messi_model(other, part)
     assert a is not b and a.violations == ()
-    assert b.violations and list(b.violations) == validate_partition(other, part)
+    assert b.violations
     with pytest.raises(MessiError, match="invalid species partition"):
         steady_state_parametrization(other, part, HK_KAPPA)
     with pytest.raises(MessiError, match="not conserved"):
-        messi_conservation(other, part)
-    assert messi_conservation(net, part) == [[1, 1, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]]
+        b.laws
+    assert a.laws == ((1, 1, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1))
     assert steady_state_parametrization(net, part, HK_KAPPA).chosen == ("X4", "X5")
 
 
 def test_mutated_reaction_list_gets_its_own_model():
     net, part = phosphorylation(2)
     before = messi_model(net, part)
-    laws = messi_conservation(net, part)
+    laws = before.laws
     r = net.reactions[0]
     net.reactions[0] = dataclasses.replace(r, rate_name=r.rate_name + "_renamed")
     after = messi_model(net, part)
@@ -421,7 +411,7 @@ def test_mutated_reaction_list_gets_its_own_model():
     assert after.net.reactions[0].rate_name == r.rate_name + "_renamed"
     # the earlier model keeps the reactions it was built from
     assert before.net.reactions[0] == r
-    assert [list(law) for law in before.laws] == laws
+    assert before.laws is laws and after.laws == laws
     kappa = phospho_kappa(2)
     want = steady_state_parametrization(*phosphorylation(2), kappa).terms
     kappa[r.rate_name + "_renamed"] = kappa.pop(r.rate_name)
@@ -451,10 +441,6 @@ def test_empty_core_block_is_a_structured_error():
 
 def test_cached_fields_cannot_be_mutated():
     net, part = hybrid_kinase()
-    laws = messi_conservation(net, part)
-    laws[0][0] = 99
-    laws.append([0] * 6)
-    assert messi_conservation(net, part) == [[1, 1, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]]
     region = assemble_region_system(net, part, HK_KAPPA, [Fraction(7, 4), 1])
     with pytest.raises(TypeError):
         region.laws[0][0] = 99
@@ -480,7 +466,7 @@ def test_exponents_are_derived_on_first_rescale_only():
     model = messi_model(net, part)
     assert "rescale_exponents" not in vars(model)
     gamma = [1.0] * region.cfg.n
-    rescale_back(net, part, kappa, [1, 1, 3], gamma, region=region)
+    rescale_back(region, gamma)
     assert "rescale_exponents" in vars(model)
 
 
@@ -496,6 +482,32 @@ def test_rates_must_be_positive_and_finite(bad):
         steady_state_parametrization(net, part, kappa)
     with pytest.raises(MessiError, match="rate k6"):
         assemble_region_system(net, part, kappa, [Fraction(7, 4), 1])
+
+
+@pytest.mark.parametrize("bad", [0, -1, Fraction(-7, 4), float("nan"), float("inf"), -0.0])
+def test_totals_must_be_positive_and_finite(bad):
+    net, part = hybrid_kinase()
+    with pytest.raises(MessiError, match="total T2 = .* is not positive and finite"):
+        assemble_region_system(net, part, HK_KAPPA, [Fraction(7, 4), bad])
+    with pytest.raises(MessiError, match="total T1 = "):
+        witness.certify_multistationarity(net, part, HK_KAPPA, [bad, 1])
+
+
+@pytest.mark.parametrize("command", ["analyze", "witness", "mixed-analyze"])
+@pytest.mark.parametrize("T, total", [("0,0", "T1 = 0"), ("-7/4,1", "T1 = -7/4"),
+                                      ("7/4,-0.0", "T2 = 0")])
+def test_cli_refuses_a_total_that_is_not_positive(command, T, total, capsys):
+    assert main([command, "--builtin", "hk", "--k", "1,1,2,1,1,1", "--T=" + T]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: total %s is not positive and finite\n" % total
+
+
+@pytest.mark.parametrize("T", ["nan,1", "inf,1", "1,-inf"])
+def test_cli_reads_no_total_that_is_not_finite(T, capsys):
+    # the number parser reads exact rationals only, so NaN and infinity
+    # stop as malformed input before any total is checked
+    assert main(["witness", "--builtin", "hk", "--k", "1,1,2,1,1,1", "--T=" + T]) == 2
+    assert "not a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k, rate", [("-1,1,2,1,1,1", "k1"), ("1,1,2,1,1,0", "k6")])
@@ -533,7 +545,7 @@ def test_rescale_refuses_a_scale_that_is_not_positive_and_finite(entry, column):
     gamma = [1.0] * region.cfg.n
     gamma[column] = entry
     with pytest.raises(MessiError, match="column scale %d" % column):
-        rescale_back(net, part, HK_KAPPA, totals, gamma, region=region)
+        rescale_back(region, gamma)
 
 
 @pytest.mark.parametrize("gamma", [
@@ -546,7 +558,7 @@ def test_rescale_outside_the_float_range_is_a_structured_error(gamma):
     totals = [Fraction(7, 4), 1]
     region = assemble_region_system(net, part, HK_KAPPA, totals)
     with pytest.raises(MessiError):
-        rescale_back(net, part, HK_KAPPA, totals, gamma, region=region)
+        rescale_back(region, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from multistat import ratlin
 from multistat.decoration import _opposed, _sum_interior
-from oracles import fourier_motzkin_feasible
+from oracles import cone_contains, fourier_motzkin_feasible
 
 
 def cofactor_det(rows):
@@ -106,12 +106,6 @@ def test_strict_feasible_rejects_non_interior_optimum(monkeypatch):
         ratlin.strict_feasible([(1, 0), (0, 1)])
 
 
-def test_strict_feasible_zero_coords():
-    h = ratlin.strict_feasible([(1, -2, 0), (0, 1, -1)], zero_coords=[2])
-    assert h is not None and h[2] == 0
-    assert h[0] - 2 * h[1] > 0 and h[1] > 0
-
-
 def test_strict_feasible_matches_fourier_motzkin():
     rng = random.Random(19)
     for _ in range(300):
@@ -176,9 +170,9 @@ def _spy_exact(monkeypatch):
     calls = []
     exact = ratlin.strict_feasible
 
-    def spy(normals, zero_coords=()):
+    def spy(normals):
         calls.append(normals)
-        return exact(normals, zero_coords)
+        return exact(normals)
 
     monkeypatch.setattr(ratlin, "strict_feasible", spy)
     return calls
@@ -201,13 +195,13 @@ def test_fast_lp_unverified_rejection_falls_back_to_exact(monkeypatch):
 
 def test_gordan_certificate_check():
     # kernel of dimension 2 on the support: decided by the small exact LP
-    assert ratlin._gordan_certified([(1, 0), (-1, 0), (0, 1), (0, -1)], [1.0] * 4, [0, 1])
+    assert ratlin._gordan_certified([(1, 0), (-1, 0), (0, 1), (0, -1)], [1.0] * 4)
     # kernel (1, 1, -1) is not one-signed; a trivial kernel certifies nothing
-    assert not ratlin._gordan_certified([(1, 0), (0, 1), (1, 1)], [1.0] * 3, [0, 1])
-    assert not ratlin._gordan_certified([(1, 0), (0, 1)], [1.0, 1.0], [0, 1])
-    # only the free coordinates must cancel; zero duals leave the support
-    assert ratlin._gordan_certified([(1, 5), (-1, 7), (0, 1)], [1.0, 1.0, 0.0], [0])
-    assert not ratlin._gordan_certified([(1, 5), (-1, 7), (0, 1)], [1.0, 0.0, 0.0], [0])
+    assert not ratlin._gordan_certified([(1, 0), (0, 1), (1, 1)], [1.0] * 3)
+    assert not ratlin._gordan_certified([(1, 0), (0, 1)], [1.0, 1.0])
+    # zero duals leave the support
+    assert ratlin._gordan_certified([(1, 5), (-1, -5), (0, 1)], [1.0, 1.0, 0.0])
+    assert not ratlin._gordan_certified([(1, 5), (-1, -5), (0, 1)], [1.0, 0.0, 0.0])
 
 
 def test_fast_lp_clean_dual_certificate_skips_exact(monkeypatch):
@@ -215,7 +209,7 @@ def test_fast_lp_clean_dual_certificate_skips_exact(monkeypatch):
     assert ratlin.strict_feasible_fast([(1, 0, 1), (-2, 0, -2), (0, 1, 0)]) is None
     # support of size 3 in a plane: y = (1, 1, 1) for the three normals
     assert ratlin.strict_feasible_fast([(1, 0), (-1, 1), (0, -1), (1, 1)]) is None
-    assert ratlin.strict_feasible_fast([(1, 0), (-1, 0)], zero_coords=[1]) is None
+    assert ratlin.strict_feasible_fast([(1, 0), (-1, 0)]) is None
     assert calls == []
 
 
@@ -229,8 +223,8 @@ def test_lp_feasible():
 
 def test_cone_contains():
     normals = [(1, 0), (0, 1)]
-    assert ratlin.cone_contains(normals, (1, 1))
-    assert not ratlin.cone_contains(normals, (-1, 2))
+    assert cone_contains(normals, (1, 1))
+    assert not cone_contains(normals, (-1, 2))
 
 
 def test_solve_lp_optimal_value():

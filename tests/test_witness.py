@@ -15,13 +15,11 @@ from multistat.points import PointConfiguration, joint_cone
 from multistat.ratlin import kernel_basis
 from multistat import witness
 import oracles
+from oracles import count_positive_roots, phi_map
 from multistat.witness import (
     DeformedSystem,
     certify_multistationarity,
-    count_positive_roots,
-    newton_solve,
     newton_solve_many,
-    phi_map,
     validate_root_set,
     witness_search,
 )
@@ -113,7 +111,7 @@ def test_coefficients_outside_the_double_range_keep_their_magnitude():
 def test_newton_univariate():
     cfg = PointConfiguration([(0,), (1,), (2,)])
     system = DeformedSystem(cfg, [[-2, 1, 0]], [0, 0, 0], 1.0)
-    root = newton_solve(system, [1.0])
+    (root,) = newton_solve_many(system, [[1.0]], ["seed"])
     assert root is not None
     assert root.x[0] == pytest.approx(2.0, abs=1e-12)
     assert root.residual < 1e-10
@@ -150,7 +148,7 @@ def reference_newton(system, seed, basin):
         lam = 1.0
         while lam > 1e-8:
             trial = u + lam * du
-            new_res = system.residual(trial)
+            new_res = oracles.residual(system, trial)
             if new_res <= (1 - 1e-4 * lam) * res or new_res < witness.RESIDUAL_TOL:
                 u = trial
                 step = lam * float(np.max(np.abs(du)))
@@ -404,12 +402,12 @@ def test_stacked_evaluation_marks_failed_points():
     u = np.array([[0.0], [np.inf], [1.0]])
     with np.errstate(invalid="ignore"):
         f, J = system.residual_jacobian(u)
-        res = system.residual(u)
+        res = oracles.residual(system, u)
     assert np.isnan(f[1]).all() and np.isnan(J[1]).all() and np.isnan(res[1])
     for k in (0, 2):
         f1, J1 = system.residual_jacobian(u[k])
         assert f1.tobytes() == f[k].tobytes() and J1.tobytes() == J[k].tobytes()
-        assert system.residual(u[k]) == res[k]
+        assert oracles.residual(system, u[k]) == res[k]
 
 
 def test_lattice_seeds_first_coordinate_fastest():
@@ -450,7 +448,7 @@ def test_rerun_from_certified_root_reproduces_it():
     roots = count_positive_roots(system, family)
     assert len(roots) >= 3
     for r in roots:
-        again = newton_solve(system, r.x)
+        (again,) = newton_solve_many(system, [r.x], ["seed"])
         assert again is not None
         assert float(np.max(np.abs(again.log_x - r.log_x))) < 1e-12
 
@@ -542,7 +540,7 @@ def test_scaled_system_roots_map_across():
     scaled = DeformedSystem(region.cfg, Cs, h, t)
     for r in roots:
         mapped = r.x / np.array(alpha[1:])
-        again = newton_solve(scaled, mapped)
+        (again,) = newton_solve_many(scaled, [mapped], ["seed"])
         assert again is not None
         assert float(np.max(np.abs(again.log_x - np.log(mapped)))) < 1e-10
 
@@ -558,7 +556,7 @@ def test_witness_search_hk():
     assert best.simplices == [(0, 1, 4), (0, 2, 3), (0, 3, 4)]
     report = witness_search(
         region.cfg, region.C, best,
-        context=(net, part, HK_KAPPA, HK_TOTALS, region),
+        region=region,
     )
     assert report.status == "success"
     assert report.t_star == 2.0 ** -7
@@ -596,7 +594,7 @@ def test_mapped_roots_satisfy_conservation_laws():
     decor = find_decorated(region.cfg, region.C)
     report = witness_search(
         region.cfg, region.C, decor.best,
-        context=(net, part, HK_KAPPA, HK_TOTALS, region),
+        region=region,
     )
     laws = net.conservation_laws()
     for vec in report.species_roots:
@@ -719,7 +717,7 @@ def test_stacked_schedule_equals_the_step_by_step_one(name, examples):
         assert_same_search(report, family, reference)
         if report.status == "success":
             gamma = [report.t_star ** float(v) for v in family.height]
-            kappa_bar = rescale_back(net, part, kappa, totals, gamma, region=region).kappa_bar
+            kappa_bar = rescale_back(region, gamma).kappa_bar
             assert report.kappa_bar == kappa_bar
 
     check()
