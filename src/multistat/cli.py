@@ -22,7 +22,6 @@ import sys
 from fractions import Fraction
 
 from . import decoration, messi, networks, report, witness
-from .messi import MessiError
 from .networks import ParseError
 from .points import PointConfiguration, is_regular, regular_subdivision
 
@@ -38,20 +37,8 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_number(text):
-    text = text.strip()
-    try:
-        if "/" in text:
-            return Fraction(text)
-        if "." in text or "e" in text or "E" in text:
-            return Fraction(text)
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
-        raise CliError("not a number: %r" % text, EXIT_PARSE)
-
-
 def _parse_list(text):
-    return [_parse_number(v) for v in text.split(",") if v.strip()]
+    return [networks.parse_number(v) for v in text.split(",") if v.strip()]
 
 
 def _load_network(args):
@@ -68,13 +55,13 @@ def _load_network(args):
     elif args.network:
         try:
             net, partition, totals_named = networks.parse_network_file(args.network)
-        except (OSError, ParseError) as e:
+        except OSError as e:
             raise CliError(str(e), EXIT_PARSE)
     else:
         raise CliError("need a network file or --builtin", EXIT_PARSE)
 
     if args.partition:
-        partition = _parse_partition(args.partition, net)
+        partition = networks.parse_partition(args.partition, net.species)
     if partition is None:
         raise CliError("no species partition given", EXIT_PARSE)
 
@@ -86,7 +73,7 @@ def _load_network(args):
                 "--k needs %d values (%s)" % (len(names), ", ".join(names)),
                 EXIT_PARSE,
             )
-        kappa = dict(zip(names, values))
+        kappa = networks.rate_map(zip(names, values))
     else:
         try:
             kappa = net.rates()
@@ -102,27 +89,8 @@ def _load_network(args):
     return net, partition, kappa, totals
 
 
-def _parse_partition(text, net):
-    blocks = {}
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" not in part:
-            raise CliError("partition blocks look like '1: X1 X2'", EXIT_PARSE)
-        idx, names = part.split(":", 1)
-        try:
-            idx = int(idx)
-        except ValueError:
-            raise CliError("bad partition block index %r" % idx, EXIT_PARSE)
-        blocks[idx] = names.split()
-    if not blocks or set(blocks) != set(range(max(blocks) + 1)):
-        raise CliError("partition blocks must be numbered 0..m", EXIT_PARSE)
-    out = [blocks[i] for i in range(max(blocks) + 1)]
-    for sp in (s for b in out for s in b):
-        if sp not in net.index:
-            raise CliError("unknown species %r in partition" % sp, EXIT_PARSE)
-    return out
+def _doc(command, given):
+    return {"schema_version": report.SCHEMA_VERSION, "command": command, "input": given}
 
 
 def _input_echo(net, partition, kappa, totals):
@@ -137,14 +105,31 @@ def _input_echo(net, partition, kappa, totals):
             )
             for r in net.reactions
         ],
-        "kappa": {k: _num(v) for k, v in kappa.items()},
-        "totals": [_num(v) for v in totals],
+        "kappa": dict(kappa),  # every value is a Fraction from networks.parse_number
+        "totals": list(totals),
         "partition": [list(b) for b in partition],
     }
 
 
-def _num(v):
-    return v if isinstance(v, (int, float)) else Fraction(v)
+def _families(families):
+    return [
+        {
+            "simplices": [list(s) for s in f.simplices],
+            "height": list(f.height) if f.height is not None else None,
+            "cone_inequalities": [
+                report.inequality(m) for m in f.cone.normals
+            ],
+        }
+        for f in families
+    ]
+
+
+def _region_stage(region):
+    return {
+        "points": [list(p) for p in region.cfg.points],
+        "C": [[Fraction(c) for c in row] for row in region.C],
+        "column_symbols": list(region.column_symbols),
+    }
 
 
 def _analysis_stages(net, partition, kappa, totals):
@@ -163,25 +148,12 @@ def _analysis_stages(net, partition, kappa, totals):
                 for sp, poly in sorted(region.parametrization.terms.items())
             },
         },
-        "region_system": {
-            "points": [list(p) for p in region.cfg.points],
-            "C": [[Fraction(c) for c in row] for row in region.C],
-            "column_symbols": list(region.column_symbols),
-        },
+        "region_system": _region_stage(region),
         "decoration": {
             "decorated": [list(s) for s in decor.decorated],
             "facet_pairs": [[list(a), list(b)] for a, b in decor.facet_pairs],
             "indeterminate": [list(s) for s in decor.indeterminate],
-            "families": [
-                {
-                    "simplices": [list(s) for s in f.simplices],
-                    "height": list(f.height) if f.height is not None else None,
-                    "cone_inequalities": [
-                        report.inequality(m) for m in f.cone.normals
-                    ],
-                }
-                for f in decor.families
-            ],
+            "families": _families(decor.families),
         },
     }
     return region, decor, stages
@@ -226,12 +198,7 @@ def _finish(doc, args, summary_lines):
 def cmd_analyze(args):
     net, partition, kappa, totals = _load_network(args)
     region, decor, stages = _analysis_stages(net, partition, kappa, totals)
-    doc = {
-        "schema_version": report.SCHEMA_VERSION,
-        "command": "analyze",
-        "input": _input_echo(net, partition, kappa, totals),
-    }
-    doc.update(stages)
+    doc = dict(_doc("analyze", _input_echo(net, partition, kappa, totals)), **stages)
     lines = [
         "network %s: %d species, %d reactions" % (
             net.name, len(net.species), len(net.reactions)),
@@ -267,12 +234,7 @@ def cmd_witness(args):
         raise CliError("MULTISTAT_SEED must be an integer, not %r" % seed, EXIT_PARSE)
     net, partition, kappa, totals = _load_network(args)
     region, decor, stages = _analysis_stages(net, partition, kappa, totals)
-    doc = {
-        "schema_version": report.SCHEMA_VERSION,
-        "command": "witness",
-        "input": _input_echo(net, partition, kappa, totals),
-    }
-    doc.update(stages)
+    doc = dict(_doc("witness", _input_echo(net, partition, kappa, totals)), **stages)
     lines = []
     if args.mixed:
         mixed_rep = witness.mixed_decoration(region.cfg, region.C)
@@ -324,30 +286,16 @@ def _mixed_stage(mixed_rep):
         "blocks": [[list(p) for p in b] for b in mixed_rep.cayley.blocks],
         "mixed_simplices": [list(s) for s in mixed_rep.mixed],
         "decorated": [list(s) for s in mixed_rep.decorated],
-        "families": [
-            {
-                "simplices": [list(s) for s in f.simplices],
-                "height": list(f.height) if f.height is not None else None,
-                "cone_inequalities": [
-                    report.inequality(m) for m in f.cone.normals
-                ],
-            }
-            for f in mixed_rep.families
-        ],
+        "families": _families(mixed_rep.families),
     }
 
 
 def cmd_mixed_analyze(args):
     net, partition, kappa, totals = _load_network(args)
-    region, decor, stages = _analysis_stages(net, partition, kappa, totals)
+    region = messi.assemble_region_system(net, partition, kappa, totals)
     mixed_rep = witness.mixed_decoration(region.cfg, region.C)
-    doc = {
-        "schema_version": report.SCHEMA_VERSION,
-        "command": "mixed-analyze",
-        "input": _input_echo(net, partition, kappa, totals),
-        "region_system": stages["region_system"],
-        "mixed": _mixed_stage(mixed_rep),
-    }
+    doc = dict(_doc("mixed-analyze", _input_echo(net, partition, kappa, totals)),
+               region_system=_region_stage(region), mixed=_mixed_stage(mixed_rep))
     lines = [
         "Cayley configuration: %d points in %d blocks" % (
             mixed_rep.cayley.n, mixed_rep.cayley.d),
@@ -361,8 +309,10 @@ def cmd_mixed_analyze(args):
     return EXIT_OK
 
 
-def _read_points(path):
-    points = []
+def _read_rows(path, what, valid=lambda row: True):
+    """One integer row per line of ``path`` (``#`` starts a comment); a
+    line that is not one, or not ``valid``, is an error at ``path:line``."""
+    rows = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -370,50 +320,31 @@ def _read_points(path):
                 if not line:
                     continue
                 try:
-                    points.append(tuple(int(v) for v in line.replace(",", " ").split()))
+                    row = tuple(int(v) for v in line.replace(",", " ").split())
                 except ValueError:
-                    raise CliError(
-                        "%s:%d: expected one integer vector per line"
-                        % (path, lineno), EXIT_PARSE)
+                    row = None
+                if row is None or not valid(row):
+                    raise CliError("%s:%d: expected %s per line" % (path, lineno, what),
+                                   EXIT_PARSE)
+                rows.append(row)
     except OSError as e:
         raise CliError(str(e), EXIT_PARSE)
-    return points
-
-
-def _read_cells(path):
-    cells = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    cells.append(tuple(sorted(
-                        int(v) for v in line.replace(",", " ").split())))
-                except ValueError:
-                    raise CliError(
-                        "%s:%d: expected one cell (point indices) per line"
-                        % (path, lineno), EXIT_PARSE)
-    except OSError as e:
-        raise CliError(str(e), EXIT_PARSE)
-    return cells
+    return rows
 
 
 def cmd_subdivision(args):
-    points = _read_points(args.points)
+    points = _read_rows(args.points, "one integer vector")
     try:
         cfg = PointConfiguration(points)
     except ValueError as e:
         raise CliError(str(e), EXIT_PARSE)
-    doc = {
-        "schema_version": report.SCHEMA_VERSION,
-        "command": "subdivision",
-        "input": {"points": [list(p) for p in points]},
-    }
+    doc = _doc("subdivision", {"points": [list(p) for p in points]})
     lines = []
     if args.check:
-        cells = _read_cells(args.check)
+        r = cfg.d + 1
+        cells = [tuple(sorted(c)) for c in _read_rows(
+            args.check, "one cell (%d distinct point indices below %d)" % (r, cfg.n),
+            lambda c: len(set(c)) == len(c) == r and all(0 <= i < cfg.n for i in c))]
         ok, height = is_regular(cfg, cells)
         doc["check"] = {
             "cells": [list(c) for c in cells],
@@ -498,17 +429,13 @@ def main(argv=None):
     try:
         return args.func(args)
     except CliError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return e.code
-    except (ParseError,) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_PARSE
-    except (MessiError, decoration.IndeterminateSign) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        error, code = e, e.code
+    except ParseError as e:
+        error, code = e, EXIT_PARSE
+    except (ValueError, decoration.IndeterminateSign) as e:  # MessiError is a ValueError
+        error, code = e, EXIT_HYPOTHESIS
+    print("error: %s" % error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

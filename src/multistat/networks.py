@@ -20,11 +20,15 @@ A plain-text file format is supported::
     partition: 0: ; 1: X1 ; 2: X2 X3
     reaction: X1 + X2 -> 2 X3 ; k1 = 3/2
     totals: T1 = 1.75 ; T2 = 1
+
+``parse_number`` and ``parse_partition`` read numbers and partitions for
+the file and for the command-line flags alike.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +40,9 @@ __all__ = [
     "ParseError",
     "parse_network",
     "parse_network_file",
+    "parse_number",
+    "parse_partition",
+    "rate_map",
     "hybrid_kinase",
     "phosphorylation",
     "michaelis_menten",
@@ -152,26 +159,57 @@ class Network:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing: the one reader of user text, for network files and CLI flags
 # ---------------------------------------------------------------------------
 
-_NUM = re.compile(r"^-?(\d+(\.\d*)?([eE][+-]?\d+)?|\d+/\d+|\.\d+)$")
-
-
-def _parse_number(tok, lineno):
-    tok = tok.strip()
-    if not _NUM.match(tok):
-        raise ParseError("line %d: bad number %r" % (lineno, tok))
-    if "/" in tok:
-        p, q = tok.split("/")
-        return Fraction(int(p), int(q))
+def parse_number(text):
+    """An exact rational from an integer, a decimal with an optional
+    exponent, or ``p/q``."""
     try:
-        return Fraction(tok)
-    except ValueError:
-        raise ParseError("line %d: bad number %r" % (lineno, tok))
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("not a number: %r" % text.strip()) from None
 
 
-def _parse_complex(text, lineno):
+def parse_partition(text, species):
+    """Blocks ``i: names`` separated by ``;``, numbered 0..m with none
+    missing or repeated, naming every species exactly once; returns the
+    name lists by block (block 0 = intermediates)."""
+    blocks = {}
+    for part in text.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        if ":" not in part:
+            raise ParseError("partition blocks look like '1: X1 X2'")
+        index, names = part.split(":", 1)
+        try:
+            index = int(index)
+        except ValueError:
+            raise ParseError("bad partition block index %r" % index.strip()) from None
+        if index in blocks:
+            raise ParseError("partition block %d given twice" % index)
+        blocks[index] = names.split()
+    if sorted(blocks) != list(range(len(blocks))):
+        raise ParseError("partition blocks must be numbered 0..m")
+    out = [blocks[i] for i in range(len(blocks))]
+    if sorted(s for block in out for s in block) != sorted(species):
+        raise ParseError("partition must name every species exactly once")
+    return out
+
+
+def rate_map(pairs):
+    """``{name: value}`` from (rate name, value) pairs, ``None`` standing
+    for no value; one name given two different values is an error."""
+    out = {}
+    for name, value in pairs:
+        if out.setdefault(name, value) != value:
+            shown = ["unset" if v is None else str(v) for v in (out[name], value)]
+            raise ParseError("rate %r has two values: %s and %s" % (name, *shown))
+    return out
+
+
+def _parse_complex(text):
     text = text.strip()
     out = {}
     if text in ("0", ""):
@@ -180,13 +218,21 @@ def _parse_complex(text, lineno):
         part = part.strip()
         m = re.match(r"^(\d+)\s*\*?\s*([A-Za-z_]\w*)$|^([A-Za-z_]\w*)$", part)
         if not m:
-            raise ParseError("line %d: bad complex term %r" % (lineno, part))
+            raise ParseError("bad complex term %r" % part)
         if m.group(3):
             sp, coeff = m.group(3), 1
         else:
             sp, coeff = m.group(2), int(m.group(1))
         out[sp] = out.get(sp, 0) + coeff
     return out
+
+
+@contextmanager
+def _at_line(lineno):
+    try:
+        yield
+    except ParseError as e:
+        raise ParseError("line %d: %s" % (lineno, e)) from None
 
 
 def parse_network(text, name="network"):
@@ -198,85 +244,71 @@ def parse_network(text, name="network"):
     None.
     """
     species = None
-    partition = None
+    partition = None  # (line number, text), read once the species are known
     totals = None
     reactions = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if ":" not in line:
-            raise ParseError("line %d: expected 'key: value'" % lineno)
-        key, rest = line.split(":", 1)
-        key = key.strip().lower()
-        if key == "species":
-            species = rest.split()
-            if not species:
-                raise ParseError("line %d: empty species list" % lineno)
-        elif key == "partition":
-            partition = {}
-            for blockdef in rest.split(";"):
-                blockdef = blockdef.strip()
-                if not blockdef:
-                    continue
-                if ":" not in blockdef:
-                    raise ParseError("line %d: partition blocks look like '0: A B'" % lineno)
-                bidx, names = blockdef.split(":", 1)
-                try:
-                    bidx = int(bidx)
-                except ValueError:
-                    raise ParseError("line %d: bad block index %r" % (lineno, bidx))
-                partition[bidx] = names.split()
-        elif key == "reaction":
-            if ";" in rest:
-                arrow_part, rate_part = rest.split(";", 1)
-                if "=" not in rate_part:
-                    raise ParseError("line %d: rate looks like 'k = 1.0'" % lineno)
-                rname, rval = rate_part.split("=", 1)
-                rname = rname.strip()
-                rate = _parse_number(rval, lineno)
-                if rate <= 0:
-                    raise ParseError("line %d: rate must be positive" % lineno)
+        with _at_line(lineno):
+            if ":" not in line:
+                raise ParseError("expected 'key: value'")
+            key, rest = line.split(":", 1)
+            key = key.strip().lower()
+            if key == "species":
+                species = rest.split()
+                if not species:
+                    raise ParseError("empty species list")
+            elif key == "partition":
+                partition = lineno, rest
+            elif key == "reaction":
+                if ";" in rest:
+                    arrow_part, rate_part = rest.split(";", 1)
+                    if "=" not in rate_part:
+                        raise ParseError("rate looks like 'k = 1.0'")
+                    rname, rval = rate_part.split("=", 1)
+                    rname = rname.strip()
+                    rate = parse_number(rval)
+                    if rate <= 0:
+                        raise ParseError("rate must be positive")
+                else:
+                    arrow_part, rname, rate = rest, "k%d" % (len(reactions) + 1), None
+                if "->" not in arrow_part:
+                    raise ParseError("reaction needs '->'")
+                lhs, rhs = arrow_part.split("->", 1)
+                src = _parse_complex(lhs)
+                tgt = _parse_complex(rhs)
+                if src == tgt:
+                    raise ParseError("trivial reaction")
+                reactions.append(
+                    Reaction(_complex_key(src), _complex_key(tgt), rname, rate)
+                )
+            elif key == "totals":
+                totals = {}
+                for part in rest.split(";"):
+                    part = part.strip()
+                    if not part:
+                        continue
+                    if "=" not in part:
+                        raise ParseError("totals look like 'T1 = 1.75'")
+                    tname, tval = part.split("=", 1)
+                    totals[tname.strip()] = parse_number(tval)
             else:
-                arrow_part, rname, rate = rest, "k%d" % (len(reactions) + 1), None
-            if "->" not in arrow_part:
-                raise ParseError("line %d: reaction needs '->'" % lineno)
-            lhs, rhs = arrow_part.split("->", 1)
-            src = _parse_complex(lhs, lineno)
-            tgt = _parse_complex(rhs, lineno)
-            if src == tgt:
-                raise ParseError("line %d: trivial reaction" % lineno)
-            reactions.append(
-                Reaction(_complex_key(src), _complex_key(tgt), rname, rate)
-            )
-        elif key == "totals":
-            totals = {}
-            for part in rest.split(";"):
-                part = part.strip()
-                if not part:
-                    continue
-                if "=" not in part:
-                    raise ParseError("line %d: totals look like 'T1 = 1.75'" % lineno)
-                tname, tval = part.split("=", 1)
-                totals[tname.strip()] = _parse_number(tval, lineno)
-        else:
-            raise ParseError("line %d: unknown key %r" % (lineno, key))
+                raise ParseError("unknown key %r" % key)
     if species is None:
         raise ParseError("missing 'species:' line")
     if not reactions:
         raise ParseError("no reactions")
+    rate_map((r.rate_name, r.rate) for r in reactions)
     try:
         net = Network(species, reactions, name=name)
     except ValueError as e:
-        raise ParseError(str(e))
-    part_list = None
+        raise ParseError(str(e)) from None
     if partition is not None:
-        top = max(partition)
-        part_list = [partition.get(i, []) for i in range(top + 1)]
-        named = [s for block in part_list for s in block]
-        if sorted(named) != sorted(species):
-            raise ParseError("partition must name every species exactly once")
-    return net, part_list, totals
+        with _at_line(partition[0]):
+            partition = parse_partition(partition[1], species)
+    return net, partition, totals
 
 
 def parse_network_file(path):

@@ -225,6 +225,83 @@ def test_subdivision_malformed_points(tmp_path, capsys):
     assert main(["subdivision", str(pts)]) == 2
 
 
+def test_division_by_zero_in_a_network_file(tmp_path, capsys):
+    bad = tmp_path / "bad.net"
+    bad.write_text(HK_NET.replace("k3 = 2", "k3 = 1/0"))
+    assert main(["analyze", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: line 6: not a number: '1/0'\n"
+
+
+@pytest.mark.parametrize(
+    "k,code,err",
+    [("1,9,2,1,1,1", 2, "error: rate 'k1' has two values: 1 and 9\n"),
+     ("1,1,2,1,1,1", 0, "")],
+)
+def test_one_value_per_rate_name_from_the_k_flag(tmp_path, capsys, k, code, err):
+    # two reactions named k1, with one value in the file
+    shared = tmp_path / "shared.net"
+    shared.write_text(HK_NET.replace("k2 = 1", "k1 = 1"))
+    assert main(["analyze", str(shared), "--k", k, "--quiet"]) == code
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
+    "first,second,err",
+    [("k1 = 1", "X2 -> X3 ; k1 = 5", "rate 'k1' has two values: 1 and 5"),
+     # the reaction without a rate is named k2, which the file gave a value
+     ("k2 = 1", "X2 -> X3", "rate 'k2' has two values: 1 and unset")],
+)
+def test_one_value_per_rate_name_from_a_file(tmp_path, capsys, first, second, err):
+    bad = tmp_path / "bad.net"
+    bad.write_text(HK_NET.replace("X1 -> X2 ; k1 = 1", "X1 -> X2 ; " + first)
+                   .replace("X2 -> X3 ; k2 = 1", second))
+    assert main(["analyze", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % err
+
+
+SQUARE = "0 0\n1 0\n0 1\n1 1\n"
+
+
+@pytest.mark.parametrize("cells", ["0 1 9", "0 1 -1", "0 1", "0 0 1", "0 1 2 3"])
+def test_subdivision_cells_out_of_shape_or_range(tmp_path, capsys, cells):
+    pts = tmp_path / "points.txt"
+    check = tmp_path / "cells.txt"
+    pts.write_text(SQUARE)
+    check.write_text("# one good cell, then a bad one\n0 1 2\n%s\n" % cells)
+    assert main(["subdivision", str(pts), "--check", str(check)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: %s:3: expected one cell (3 distinct point indices below 4) per line\n" % check)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("0: ; 1: X1 X2 X3 X4 ; 2: X5", "partition must name every species exactly once"),
+        ("0: ; 1: X1 X2 X3 X4 X7 ; 2: X5 X6", "partition must name every species exactly once"),
+        ("0: X1 ; 1: X1 X2 X3 X4 ; 2: X5 X6",
+         "partition must name every species exactly once"),
+        ("0: ; 1: X1 X2 X3 X4 ; 1: X5 X6", "partition block 1 given twice"),
+        ("0: ; 2: X1 X2 X3 X4 ; 3: X5 X6", "partition blocks must be numbered 0..m"),
+        ("0: ; one: X1 X2 X3 X4 ; 2: X5 X6", "bad partition block index 'one'"),
+        ("0: ; X1 X2 X3 X4 ; 2: X5 X6", "partition blocks look like '1: X1 X2'"),
+    ],
+)
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_a_partition_reads_the_same_from_a_file_and_the_flag(tmp_path, capsys, text,
+                                                             message, source):
+    path = tmp_path / "hk.net"
+    if source == "file":
+        path.write_text(HK_NET.replace("0: ; 1: X1 X2 X3 X4 ; 2: X5 X6", text))
+        args, prefix = [], "line 3: "
+    else:
+        path.write_text(HK_NET)
+        args, prefix = ["--partition", text], ""
+    assert main(["analyze", str(path), *args]) == 2
+    assert capsys.readouterr().err == "error: %s%s\n" % (prefix, message)
+
+
 def test_cli_import_does_not_load_networkx():
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = "import sys\nimport multistat.cli\nprint('networkx' in sys.modules)\n"

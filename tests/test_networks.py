@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from multistat import networks
@@ -15,6 +17,8 @@ from multistat.networks import (
     michaelis_menten,
     mixed_phosphorylation,
     parse_network,
+    parse_number,
+    parse_partition,
     phosphorylation,
 )
 
@@ -92,6 +96,159 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_network(text)
     assert fragment.lower() in str(exc.value).lower()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("species: A B\nreaction: A -> B ; k = 1/0", "line 2: not a number: '1/0'"),
+        ("species: A B\nreaction: A -> B ; k = 1\ntotals: T1 = 1/0",
+         "line 3: not a number: '1/0'"),
+    ],
+)
+def test_division_by_zero_is_not_a_number(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_network(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "first,second,message",
+    [
+        ("k1 = 1", "B -> C ; k1 = 5", "rate 'k1' has two values: 1 and 5"),
+        # the reaction without a rate is named k2, which the file gave a value
+        ("k2 = 1", "B -> C", "rate 'k2' has two values: 1 and unset"),
+    ],
+)
+def test_one_value_per_rate_name(first, second, message):
+    with pytest.raises(ParseError) as exc:
+        parse_network("species: A B C\nreaction: A -> B ; %s\nreaction: %s" % (first, second))
+    assert str(exc.value) == message
+
+
+def test_a_rate_name_shared_with_one_value_is_kept():
+    net, _, _ = parse_network(
+        "species: A B C\nreaction: A -> B ; k1 = 3/2\nreaction: B -> C ; k1 = 1.5")
+    assert net.rates() == {"k1": Fraction(3, 2)}
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("7", 7), ("-7/4", Fraction(-7, 4)), ("+1.25", Fraction(5, 4)), (" .5 ", Fraction(1, 2)),
+     ("1e3", 1000), ("2.5E-1", Fraction(1, 4)), ("-0.0", 0)],
+)
+def test_the_number_grammar(text, value):
+    assert parse_number(text) == value
+
+
+@pytest.mark.parametrize("text", ["1/0", "x", "", "1/2/3", "nan", "inf", "1 2", "0x10", "1/-2"])
+def test_not_a_number(text):
+    with pytest.raises(ParseError) as exc:
+        parse_number(text)
+    assert str(exc.value) == "not a number: %r" % text.strip()
+
+
+@settings(max_examples=200)
+@given(st.fractions())
+def test_a_printed_rational_reads_back(q):
+    assert parse_number(str(q)) == q
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("0: ; 1: A", "partition must name every species exactly once"),
+        ("0: ; 1: A B C", "partition must name every species exactly once"),
+        ("0: A ; 1: A B", "partition must name every species exactly once"),
+        ("0: ; 1: A ; 1: B", "partition block 1 given twice"),
+        ("0: ; 2: A B", "partition blocks must be numbered 0..m"),
+        ("1: A B", "partition blocks must be numbered 0..m"),
+        ("0: ; x: A B", "bad partition block index 'x'"),
+        ("0: ; A B", "partition blocks look like '1: X1 X2'"),
+    ],
+)
+def test_partition_errors(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_partition(text, ["A", "B"])
+    assert str(exc.value) == message
+
+
+def test_partition_blocks_in_any_order():
+    assert parse_partition(" 2: B ; 0: ; 1: A ;", ["A", "B"]) == [[], ["A"], ["B"]]
+
+
+# -- the file grammar, written and read back -------------------------------
+
+def _number_text(draw):
+    """A positive rational and one way the grammar writes it."""
+    kind = draw(st.sampled_from(["integer", "ratio", "decimal"]))
+    sign = draw(st.sampled_from(["", "+"]))
+    if kind == "integer":
+        n = draw(st.integers(1, 10**6))
+        return sign + str(n), Fraction(n)
+    if kind == "ratio":
+        p, q = draw(st.integers(1, 10**4)), draw(st.integers(1, 10**4))
+        return sign + "%d/%d" % (p, q), Fraction(p, q)
+    m, k = draw(st.integers(1, 10**6)), draw(st.integers(0, 4))
+    e = draw(st.one_of(st.none(), st.integers(-3, 3)))
+    text = "%d.%0*d" % (m // 10**k, k, m % 10**k) if k else "%d." % m
+    value = Fraction(m, 10**k)
+    if e is not None:
+        text += draw(st.sampled_from("eE")) + str(e)
+        value *= Fraction(10) ** e
+    return sign + text, value
+
+
+@st.composite
+def _network_files(draw):
+    species = ["S%d" % i for i in range(draw(st.integers(1, 5)))]
+    cplx = st.dictionaries(st.sampled_from(species), st.integers(1, 3), max_size=3)
+    pairs = draw(st.lists(st.tuples(cplx, cplx).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=6,
+                          unique_by=lambda p: tuple(_key(c) for c in p)))
+    body, reactions = [], []
+    for i, (src, tgt) in enumerate(pairs):
+        text, rate = _number_text(draw)
+        body.append("reaction: %s -> %s ; r%d = %s" % (
+            _write_complex(draw, src), _write_complex(draw, tgt), i, text))
+        reactions.append((_key(src), _key(tgt), "r%d" % i, rate))
+    top = draw(st.integers(0, 3))
+    block = draw(st.lists(st.integers(0, top), min_size=len(species), max_size=len(species)))
+    partition = [[s for s, b in zip(species, block) if b == i] for i in range(top + 1)]
+    totals, written = {}, []
+    for j in range(1, draw(st.integers(1, 3)) + 1):
+        text, totals["T%d" % j] = _number_text(draw)
+        written.append("T%d = %s" % (j, text))
+    # reactions keep their order; the other lines go anywhere among them
+    for line in ("species: " + " ".join(species),
+                 "partition: " + " ; ".join("%d: %s" % (i, " ".join(partition[i]))
+                                            for i in draw(st.permutations(range(top + 1)))),
+                 "totals: " + " ; ".join(written)):
+        body.insert(draw(st.integers(0, len(body))), line)
+    return "\n".join(body), species, reactions, partition, totals
+
+
+def _key(cplx):
+    return tuple(sorted(cplx.items()))
+
+
+def _write_complex(draw, cplx):
+    if not cplx:
+        return "0"
+    sep = draw(st.sampled_from([" ", " * ", "*"]))
+    return " + ".join(sp if c == 1 else "%d%s%s" % (c, sep, sp) for sp, c in cplx.items())
+
+
+@settings(max_examples=100)
+@given(_network_files())
+def test_a_written_network_reads_back(case):
+    text, species, reactions, partition, totals = case
+    net, part, got_totals = parse_network(text)
+    assert net.species == species
+    assert [(r.source, r.target, r.rate_name, r.rate) for r in net.reactions] == reactions
+    assert all(isinstance(r.rate, Fraction) for r in net.reactions)
+    assert part == partition
+    assert list(got_totals.items()) == list(totals.items())
 
 
 def test_hk_conservation_laws():
