@@ -23,7 +23,6 @@ __all__ = [
     "CayleyConfiguration",
     "cayley_configuration",
     "enumerate_mixed_simplices",
-    "local_pairs",
     "mixed_decorated",
 ]
 
@@ -42,9 +41,6 @@ class CayleyConfiguration:
             if idx >= self.offsets[i]:
                 return i
         raise IndexError(idx)
-
-    def local_index(self, idx):
-        return idx - self.offsets[self.block_of(idx)]
 
 
 def cayley_configuration(blocks):
@@ -80,58 +76,45 @@ def cayley_configuration(blocks):
 def enumerate_mixed_simplices(cay, first_only=False):
     """All mixed (2d-1)-simplices: two points per block, lifted points
     linearly independent (equivalently the rows ``a_{j1} - a_{j2}`` of the
-    picked pairs are)."""
+    picked pairs are).  Blocks occupy consecutive index ranges, so a mixed
+    simplex lists its pairs in block order, block ``i``'s at positions
+    ``2i`` and ``2i+1``, and the simplices come in lexicographic order."""
     pair_sets = []
     for i, b in enumerate(cay.blocks):
         off = cay.offsets[i]
         pair_sets.append([(off + a, off + b_) for a, b_ in combinations(range(len(b)), 2)])
     out = []
     for choice in product(*pair_sets):
-        idx = tuple(sorted(i for pair in choice for i in pair))
+        idx = sum(choice, ())
         sub = [[cay.matrix[r][j] for j in idx] for r in range(2 * cay.d)]
         if ratlin.determinant(sub) != 0:
             if first_only:
                 return [idx]
             out.append(idx)
-    return sorted(out)
+    return out
 
 
-def _block_pairs(cay, simplex):
-    """Split a mixed simplex into its per-block index pairs (ascending)."""
-    pairs = [[] for _ in range(cay.d)]
-    for j in simplex:
-        pairs[cay.block_of(j)].append(j)
-    if any(len(p) != 2 for p in pairs):
-        raise ValueError("not a mixed simplex: need exactly two points per block")
-    return [tuple(sorted(p)) for p in pairs]
-
-
-def local_pairs(cay, simplex):
-    """Per block, the local indices of the two points a mixed simplex picks."""
-    return tuple((cay.local_index(j1), cay.local_index(j2))
-                 for j1, j2 in _block_pairs(cay, simplex))
-
-
-def mixed_decorated(coeffs, simplices_pairs):
-    """Per mixed simplex (its :func:`local_pairs`): whether the two picked
-    coefficients of every block, ``coeffs[i]`` for block ``i``, have strictly
-    opposite signs.  Each sign is decided once, when first needed; a float
+def mixed_decorated(cay, coeffs, simplices):
+    """Per mixed simplex ``s`` of ``cay``: whether the two points it picks
+    from every block ``i``, ``s[2i]`` and ``s[2i+1]``, have coefficients of
+    strictly opposite signs in ``coeffs[i]`` (equation ``i``'s, over block
+    ``i``'s points).  Each sign is decided once, when first needed; a float
     coefficient at most 1e-9 times the equation's largest in magnitude
     raises :class:`IndeterminateSign`."""
     signs = {}
 
-    def sign(i, k):
-        if (i, k) not in signs:
-            c = coeffs[i][k]
-            signs[i, k] = (_sign(c, max(abs(float(x)) for x in coeffs[i]))
-                           if isinstance(c, float) else _sign(c))
-        return signs[i, k]
+    def sign(i, j):
+        if j not in signs:
+            c = coeffs[i][j - cay.offsets[i]]
+            signs[j] = (_sign(c, max(abs(float(x)) for x in coeffs[i]))
+                        if isinstance(c, float) else _sign(c))
+        return signs[j]
 
-    def decorated(pairs):
-        for i, (k1, k2) in enumerate(pairs):
-            s1, s2 = sign(i, k1), sign(i, k2)
+    def decorated(s):
+        for i in range(cay.d):
+            s1, s2 = sign(i, s[2 * i]), sign(i, s[2 * i + 1])
             if s1 == 0 or s2 == 0 or s1 == s2:
                 return False
         return True
 
-    return [decorated(pairs) for pairs in simplices_pairs]
+    return [decorated(s) for s in simplices]

@@ -15,6 +15,7 @@ number of positive zeros.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -51,22 +52,32 @@ def _sign(x, scale=None):
     return 1 if x > 0 else -1
 
 
-def _signed_minors(M):
-    """The vector of signed maximal minors ``(-1)^(i+1) det(M drop col i)``,
-    which spans the kernel of a d x (d+1) matrix M of rank d."""
-    d = len(M)
-    if any(len(row) != d + 1 for row in M):
-        raise ValueError("matrix must be d x (d+1)")
-    if any(isinstance(x, float) for row in M for x in row):
+def _minors(C):
+    """One memo of the maximal minors of ``C``: ``minor(cols)`` is the
+    determinant of the columns ``cols``, computed at most once, by numpy
+    when ``C`` holds a float, else exactly, an integer, on the rows of ``C``
+    scaled once to integers (a positive row scale changes no sign)."""
+    if any(isinstance(x, float) for row in C for x in row):
         import numpy as np
 
-        out = []
-        for i in range(d + 1):
-            sub = np.array([[float(row[j]) for j in range(d + 1) if j != i] for row in M])
-            out.append((-1) ** i * float(np.linalg.det(sub)))
-        return out, True
-    out = [(-1) ** i * ratlin.minor(M, i) for i in range(d + 1)]
-    return out, False
+        def det(cols):
+            return float(np.linalg.det(np.array([[float(row[j]) for j in cols] for row in C])))
+    else:
+        rows = [ratlin._scaled(row)[0] for row in C]
+
+        def det(cols):
+            return ratlin.determinant([[row[j] for j in cols] for row in rows]).numerator
+
+    return functools.cache(det)
+
+
+def _spans(minor, simplex):
+    """The sign rule of :func:`positively_spanning` on the columns
+    ``simplex`` of a matrix whose :func:`_minors` memo is ``minor``, float
+    minors decided against the largest in magnitude."""
+    v = [(-1) ** i * minor(simplex[:i] + simplex[i + 1:]) for i in range(len(simplex))]
+    scale = (max(map(abs, v)) or 1.0) if isinstance(v[0], float) else None
+    return {_sign(x, scale) for x in v} in ({1}, {-1})
 
 
 def positively_spanning(M):
@@ -78,22 +89,15 @@ def positively_spanning(M):
     relative threshold of 1e-9 against the largest minor magnitude and
     :class:`IndeterminateSign` is raised instead of guessing.
     """
-    v, is_float = _signed_minors(M)
-    if is_float:
-        scale = max(abs(x) for x in v) or 1.0
-        signs = {_sign(x, scale) for x in v}
-    else:
-        signs = {_sign(x) for x in v}
-        if 0 in signs:
-            return False
-    return len(signs) == 1
+    if any(len(row) != len(M) + 1 for row in M):
+        raise ValueError("matrix must be d x (d+1)")
+    return _spans(_minors(M), tuple(range(len(M) + 1)))
 
 
 def is_decorated(C, simplex):
     """Whether the columns ``simplex`` of ``C`` form a positively decorated
     simplex."""
-    sub = [[row[j] for j in simplex] for row in C]
-    return positively_spanning(sub)
+    return _spans(_minors(C), tuple(simplex))
 
 
 @dataclass
@@ -165,18 +169,15 @@ def grow_families(decorated, normals, feasible):
 class _Table:
     """What one route derives from a support alone, filled on demand and
     shared by every coefficient matrix on it: the configuration (points or
-    Cayley), its simplices (mixed ones with :func:`cayley.local_pairs`), cone
-    normals, facet adjacency, growth verdicts (keyed by the set of candidate
-    primitive normals), the families of each decorated set, and family cones
-    with heights (keyed by the family as passed).  ``lp`` names the certified
-    :mod:`ratlin` LP that decides verdicts and heights."""
+    Cayley), its simplices, cone normals, growth verdicts (keyed by the set
+    of candidate primitive normals), the families of each decorated set, and
+    family cones with heights (keyed by the family as passed).  ``lp`` names
+    the certified :mod:`ratlin` LP that decides verdicts and heights."""
 
     config: object
     simplices: tuple
     lp: str
-    local_pairs: tuple = ()
     normals: dict = field(default_factory=dict)
-    facets: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     families: dict = field(default_factory=dict)
     cones: dict = field(default_factory=dict)
@@ -226,24 +227,22 @@ def find_decorated(cfg, C):
     Families are grown by :func:`grow_families` from each decorated simplex
     in lexicographic order, every check decided exactly (integer
     certificates, then the exact LP); each carries a rational witness
-    height from the exact LP on its joint cone.  All but the decoration is
-    kept per configuration (:class:`_Table`); the report holds copies."""
+    height from the exact LP on its joint cone.  The decoration reads one
+    :func:`_minors` memo, the facet pairs the cached cone normals; all else
+    is kept per configuration (:class:`_Table`); the report holds copies."""
     table = _table(("points", tuple(cfg.points)), lambda: _Table(
         cfg, tuple(pts_mod.enumerate_simplices(cfg)), "strict_feasible"))
+    minor = _minors(C)
     decorated, indeterminate = [], []
     for s in table.simplices:
         try:
-            if is_decorated(C, s):
+            if _spans(minor, s):
                 decorated.append(s)
         except IndeterminateSign:
             indeterminate.append(s)
-    facet_pairs = []
-    for pair in combinations(decorated, 2):
-        if pair not in table.facets:
-            table.facets[pair] = pts_mod.shares_facet(cfg, *pair)
-        if table.facets[pair]:
-            facet_pairs.append(pair)
     families = [DecoratedFamily(sorted(family), *table.cone(family))
                 for family in table.grow(decorated)]
     families.sort(key=lambda f: (-len(f.simplices), f.simplices))
+    facet_pairs = [(s1, s2) for s1, s2 in combinations(decorated, 2)
+                   if pts_mod.shares_facet(s1, s2, table.normals[s1])]
     return DecorationReport(decorated, facet_pairs, families, indeterminate)

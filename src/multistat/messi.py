@@ -230,7 +230,9 @@ class MessiModel:
         powers.  A complex's power in a column is the degree of the
         column's coefficient over Q(kappa) in the rates out of it; it
         exists when every factor of every nonzero entry is homogeneous in
-        those rates and all rows agree."""
+        those rates and all rows agree.  A complex scales the system only
+        if its power is 0 in every chosen column, whose coefficients the
+        rescaling keeps."""
         factors, param, _ = self.compiled
         region = assemble_region_system(
             self.net, self.partition, None, [1] * (len(self.partition) - 1), self.chosen, param)
@@ -242,9 +244,9 @@ class MessiModel:
             own = {r.rate_name for r in self.net.reactions if r.source == y}
             mask = [int(name in own) for name in factors.names]
             evec = {}
-            for j in active:
+            for j in [*unit_cols, *active]:
                 degrees = {factors.degree(row[j], mask) for row in region.C if row[j] != 0}
-                if None in degrees or len(degrees) > 1:
+                if None in degrees or len(degrees) > 1 or (j in unit_cols and degrees - {0}):
                     break
                 evec[j] = degrees.pop() if degrees else 0
             else:

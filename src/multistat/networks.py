@@ -247,6 +247,7 @@ def parse_network(text, name="network"):
     partition = None  # (line number, text), read once the species are known
     totals = None
     reactions = []
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -256,6 +257,8 @@ def parse_network(text, name="network"):
                 raise ParseError("expected 'key: value'")
             key, rest = line.split(":", 1)
             key = key.strip().lower()
+            if key in seen:
+                raise ParseError("repeated key %r" % key)
             if key == "species":
                 species = rest.split()
                 if not species:
@@ -292,10 +295,14 @@ def parse_network(text, name="network"):
                         continue
                     if "=" not in part:
                         raise ParseError("totals look like 'T1 = 1.75'")
-                    tname, tval = part.split("=", 1)
-                    totals[tname.strip()] = parse_number(tval)
+                    tname, tval = map(str.strip, part.split("=", 1))
+                    if tname in totals:
+                        raise ParseError("repeated total %r" % tname)
+                    totals[tname] = parse_number(tval)
             else:
                 raise ParseError("unknown key %r" % key)
+            if key != "reaction":
+                seen.add(key)
     if species is None:
         raise ParseError("missing 'species:' line")
     if not reactions:

@@ -78,36 +78,17 @@ def enumerate_simplices(cfg):
     return out
 
 
-def _facet_functional(cfg, facet):
-    """Affine functional (w, b) vanishing on the d points of ``facet``,
-    normalized to a primitive integer vector; None if the facet is
-    degenerate."""
-    # solve [1 a_j] . (b, w) = 0 for j in facet
-    rows = [[1, *cfg.points[j]] for j in facet]
-    ker = ratlin.kernel_basis(rows)
-    if len(ker) != 1:
-        return None
-    return ratlin.primitive(ker[0])
-
-
-def shares_facet(cfg, s1, s2):
-    """True iff simplices s1, s2 share exactly d vertices spanning a common
-    facet and their remaining vertices lie strictly on opposite sides of it."""
+def shares_facet(s1, s2, normals):
+    """True iff simplices s1, s2 share exactly d vertices and their other
+    vertices lie strictly on opposite sides of the common facet.
+    ``normals`` are the :func:`cone_normals` of s1.  Its normal at s2's
+    other vertex j is the circuit on s1 | s2, positive at j; the sides are
+    opposite exactly when it is positive at s1's other vertex i too."""
     I, J = set(s1), set(s2)
-    common = sorted(I & J)
-    if len(common) != cfg.d or I == J:
+    if len(I & J) != len(I) - 1:
         return False
-    func = _facet_functional(cfg, common)
-    if func is None:
-        return False
-    i = (I - J).pop()
-    j = (J - I).pop()
-
-    def ev(k):
-        return func[0] + sum(w * x for w, x in zip(func[1:], cfg.points[k]))
-
-    vi, vj = ev(i), ev(j)
-    return vi != 0 and vj != 0 and (vi > 0) != (vj > 0)
+    (i,), (j,) = I - J, J - I
+    return normals[j - sum(k < j for k in I)][i] > 0
 
 
 @dataclass

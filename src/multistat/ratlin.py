@@ -25,7 +25,6 @@ __all__ = [
     "kernel_basis",
     "solve",
     "determinant",
-    "minor",
     "primitive",
     "strict_feasible",
     "lp_feasible",
@@ -163,11 +162,6 @@ def determinant(rows):
                                     for x, y in zip(m[i][k + 1:], pk[k + 1:])]
         prev = a
     return Fraction(sign * m[n - 1][n - 1], scale)
-
-
-def minor(rows, drop_col):
-    """Determinant of ``rows`` with column ``drop_col`` removed (0-based)."""
-    return determinant([[x for j, x in enumerate(row) if j != drop_col] for row in rows])
 
 
 def primitive(vec):

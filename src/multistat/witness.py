@@ -556,7 +556,7 @@ def mixed_decoration(cfg, C):
         columns.extend(support)
     table = decoration._table(("cayley", tuple(blocks)), lambda: _mixed_table(blocks))
     decorated = [s for s, ok in zip(table.simplices, cayley.mixed_decorated(
-        coeffs, table.local_pairs)) if ok]
+        table.config, coeffs, table.simplices)) if ok]
     families = [decoration.DecoratedFamily(family, *table.cone(family))
                 for family in map(sorted, table.grow(decorated))]
     families.sort(key=lambda f: (-len(f.simplices), f.simplices))
@@ -566,17 +566,16 @@ def mixed_decoration(cfg, C):
 
 def _mixed_table(blocks):
     cay = cayley.cayley_configuration(blocks)
-    mixed = tuple(cayley.enumerate_mixed_simplices(cay))
-    return decoration._Table(cay, mixed, "strict_feasible_fast",
-                             tuple(cayley.local_pairs(cay, s) for s in mixed))
+    return decoration._Table(cay, tuple(cayley.enumerate_mixed_simplices(cay)),
+                             "strict_feasible_fast")
 
 
 def _mixed_simplex_seed(system, report, simplex):
     """Positive root of the deformed binomial subsystem of a mixed
-    simplex, solved in logarithms."""
+    simplex, solved in logarithms; block ``i``'s pair is ``simplex[2i:2i+2]``."""
     M, rhs = [], []
-    for i, (j1, j2) in enumerate(cayley._block_pairs(report.cayley, simplex)):
-        c1, c2 = report.columns[j1], report.columns[j2]
+    for i in range(report.cayley.d):
+        c1, c2 = report.columns[simplex[2 * i]], report.columns[simplex[2 * i + 1]]
         if system.sign[i, c1] == 0 or system.sign[i, c1] == system.sign[i, c2]:
             return None
         M.append(system.exponents[c1] - system.exponents[c2])

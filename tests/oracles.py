@@ -1,10 +1,11 @@
 """Independent oracles that only the tests use: literal enumerations, the
-affine relation of a circuit, the depth-first exclusion sweep the
-package's level-synchronous one must reproduce, a two-simplex height, the
-MESSI graph layer (Matrix-Tree elimination of intermediates and the
-association graphs of ``s_toric_check``), and the closed-form positive
-zeros, coefficient scalings and membership tests the package does not
-need."""
+affine relation of a circuit, the facet test by an affine functional, the
+depth-first exclusion sweep the package's level-synchronous one must
+reproduce, a two-simplex height, the MESSI graph layer (Matrix-Tree
+elimination of intermediates and the association graphs of
+``s_toric_check``), signed minors by ``Fraction`` determinants, and the
+closed-form positive zeros, coefficient scalings and membership tests the
+package does not need."""
 
 import math
 from dataclasses import dataclass
@@ -14,10 +15,10 @@ from itertools import permutations, product
 import numpy as np
 
 from multistat import witness
-from multistat.cayley import _block_pairs, local_pairs, mixed_decorated
-from multistat.decoration import _signed_minors, positively_spanning
+from multistat.cayley import mixed_decorated
+from multistat.decoration import positively_spanning
 from multistat.messi import MessiError, messi_model
-from multistat.points import ConeDescription, _interpolator, cone_normals, shares_facet
+from multistat.points import ConeDescription, _interpolator, cone_normals
 from multistat.ratlin import determinant, kernel_basis, lp_feasible, primitive
 
 
@@ -187,6 +188,27 @@ def exclusion_boxes(system, lo=None, hi=None, max_depth=16):
     return out
 
 
+def affine_shares_facet(cfg, s1, s2):
+    """Whether simplices s1, s2 share exactly d vertices spanning a common
+    facet with their remaining vertices strictly on opposite sides of it,
+    decided by the affine functional that vanishes on the facet."""
+    I, J = set(s1), set(s2)
+    common = sorted(I & J)
+    if len(common) != cfg.d or I == J:
+        return False
+    # solve [1 a_j] . (b, w) = 0 for j in the facet
+    ker = kernel_basis([[1, *cfg.points[j]] for j in common])
+    if len(ker) != 1:
+        return False
+    func = primitive(ker[0])
+
+    def ev(k):
+        return func[0] + sum(w * x for w, x in zip(func[1:], cfg.points[k]))
+
+    vi, vj = ev((I - J).pop()), ev((J - I).pop())
+    return vi != 0 and vj != 0 and (vi > 0) != (vj > 0)
+
+
 def extend_height(cfg, s1, s2, jitter=Fraction(1, 1009)):
     """Height function whose regular subdivision contains the two
     facet-sharing simplices ``s1``, ``s2`` as cells.
@@ -195,7 +217,7 @@ def extend_height(cfg, s1, s2, jitter=Fraction(1, 1009)):
     point is lifted strictly above both supporting planes with a per-index
     perturbation so no spurious point lands on either plane.
     """
-    if not shares_facet(cfg, s1, s2):
+    if not affine_shares_facet(cfg, s1, s2):
         raise ValueError("simplices must share a facet")
     apex2 = (set(s2) - set(s1)).pop()
     h = [None] * cfg.n
@@ -505,9 +527,29 @@ def count_positive_roots(system, family=None, rng=None):
         system, [s for _, s in seeds], [b for b, _ in seeds]))
 
 
+def fraction_determinant(M):
+    """Determinant by Gaussian elimination over ``Fraction``."""
+    M = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
+    for k in range(len(M)):
+        piv = next((i for i in range(k, len(M)) if M[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            det = -det
+        det *= M[k][k]
+        for i in range(k + 1, len(M)):
+            f = M[i][k] / M[k][k]
+            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    return det
+
+
 def spanning_kernel_vector(M):
-    """Kernel vector of a d x (d+1) matrix given by signed maximal minors."""
-    return _signed_minors(M)[0]
+    """Kernel vector of a d x (d+1) matrix given by signed maximal minors
+    ``(-1)^i det(M drop column i)``, in Fractions."""
+    return [(-1) ** i * fraction_determinant([[x for j, x in enumerate(row) if j != i]
+                                              for row in M]) for i in range(len(M) + 1)]
 
 
 def restricted_positive_solution(cfg, C, simplex):
@@ -542,15 +584,24 @@ def restricted_positive_solution(cfg, C, simplex):
     return x
 
 
+def block_pairs(cay, simplex):
+    """Split a mixed simplex into its per-block index pairs (ascending),
+    each point's block found by :meth:`CayleyConfiguration.block_of`."""
+    pairs = [sorted(j for j in simplex if cay.block_of(j) == i) for i in range(cay.d)]
+    if any(len(p) != 2 for p in pairs):
+        raise ValueError("not a mixed simplex: need exactly two points per block")
+    return [tuple(p) for p in pairs]
+
+
 def exponent_matrix(cay, simplex):
     """Rows ``a_{j1} - a_{j2}`` (first d coordinates), one per block."""
     return [tuple(cay.points[j1][k] - cay.points[j2][k] for k in range(cay.d))
-            for j1, j2 in _block_pairs(cay, simplex)]
+            for j1, j2 in block_pairs(cay, simplex)]
 
 
 def is_mixed_decorated(cay, coeffs, simplex):
     """:func:`multistat.cayley.mixed_decorated` for one simplex."""
-    return mixed_decorated(coeffs, [local_pairs(cay, simplex)])[0]
+    return mixed_decorated(cay, coeffs, [simplex])[0]
 
 
 def solve_binomial(M, beta):
@@ -572,8 +623,8 @@ def mixed_positive_solution(cay, coeffs, simplex):
     ``c_{i,j1} x^{a_{j1}} + c_{i,j2} x^{a_{j2}} = 0``."""
     if not is_mixed_decorated(cay, coeffs, simplex):
         raise ValueError("simplex is not mixed-decorated")
-    beta = [-float(coeffs[i][k2]) / float(coeffs[i][k1])
-            for i, (k1, k2) in enumerate(local_pairs(cay, simplex))]
+    beta = [-float(coeffs[i][j2 - cay.offsets[i]]) / float(coeffs[i][j1 - cay.offsets[i]])
+            for i, (j1, j2) in enumerate(block_pairs(cay, simplex))]
     return solve_binomial(exponent_matrix(cay, simplex), beta)
 
 

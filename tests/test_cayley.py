@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from multistat import cayley, decoration, points, ratlin
 from multistat.cayley import cayley_configuration, enumerate_mixed_simplices
 from oracles import (
+    block_pairs,
     cone_contains,
     exponent_matrix,
     in_cone,
@@ -107,9 +108,9 @@ def test_mixed_decoration_rejects_same_sign_pair():
 
 def reference_is_mixed_decorated(cay, coeffs, simplex):
     """The one-simplex check before signs were decided once per call."""
-    for i, (j1, j2) in enumerate(cayley._block_pairs(cay, simplex)):
-        c1 = coeffs[i][cay.local_index(j1)]
-        c2 = coeffs[i][cay.local_index(j2)]
+    for i, (j1, j2) in enumerate(block_pairs(cay, simplex)):
+        c1 = coeffs[i][j1 - cay.offsets[i]]
+        c2 = coeffs[i][j2 - cay.offsets[i]]
         scale = max(abs(float(c1)), abs(float(c2)), *(abs(float(c)) for c in coeffs[i]))
         s1 = decoration._sign(c1, scale) if isinstance(c1, float) else decoration._sign(c1)
         s2 = decoration._sign(c2, scale) if isinstance(c2, float) else decoration._sign(c2)
@@ -135,9 +136,8 @@ COEFF = st.one_of(st.integers(-2, 2).map(Fraction),
 def test_memoized_signs_match_the_one_simplex_check(coeffs):
     cay = cayley_configuration(HK_BLOCKS)
     simplices = enumerate_mixed_simplices(cay)
-    pairs = [cayley.local_pairs(cay, s) for s in simplices]
     expected = outcome(lambda: [reference_is_mixed_decorated(cay, coeffs, s) for s in simplices])
-    assert outcome(lambda: cayley.mixed_decorated(coeffs, pairs)) == expected
+    assert outcome(lambda: cayley.mixed_decorated(cay, coeffs, simplices)) == expected
     assert outcome(lambda: [is_mixed_decorated(cay, coeffs, s) for s in simplices]) == expected
 
 
@@ -187,7 +187,8 @@ def test_mixed_positive_solution_solves_subsystem():
             total = 0.0
             for j in pair:
                 a = cay.points[j][:2]
-                total += float(coeffs[i][cay.local_index(j)]) * float(np.prod(x ** np.array(a, dtype=float)))
+                c = coeffs[i][j - cay.offsets[i]]
+                total += float(c) * float(np.prod(x ** np.array(a, dtype=float)))
             assert abs(total) < 1e-10
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -73,6 +74,20 @@ def test_witness_success_and_report(tmp_path, capsys):
         if abs(v - float(Fraction(doc["input"]["kappa"][k]))) > 1e-9
     }
     assert changed == {"k4", "k5"}
+
+
+def test_witness_on_the_readme_network_file_certifies_three_roots(tmp_path, capsys):
+    # the file gets other chosen species than --builtin hk, and its
+    # rescaling must keep their columns' coefficients
+    readme = open(os.path.join(os.path.dirname(SRC), "README.md")).read()
+    (example,) = [b for b in re.findall(r"```text\n(.*?)```", readme, re.S) if "species:" in b]
+    path, out_path = tmp_path / "hk.net", tmp_path / "report.json"
+    path.write_text(example)
+    assert main(["witness", str(path), "--out", str(out_path)]) == 0
+    assert "3 distinct certified roots" in capsys.readouterr().out
+    doc = json.loads(out_path.read_text())
+    assert doc["witness"]["status"] == "success"
+    assert len(doc["witness"]["roots"]) == 3
 
 
 def test_witness_budget_exhaustion(capsys):
@@ -223,6 +238,18 @@ def test_subdivision_malformed_points(tmp_path, capsys):
     pts = tmp_path / "points.txt"
     pts.write_text("1 0\nfoo bar\n")
     assert main(["subdivision", str(pts)]) == 2
+
+
+@pytest.mark.parametrize(
+    "old,new,err",
+    [("T2 = 1", "T1 = 1", "line 10: repeated total 'T1'"),
+     ("T2 = 1\n", "T2 = 1\ntotals: T1 = 2 ; T2 = 5\n", "line 11: repeated key 'totals'")],
+)
+def test_a_repeated_total_or_key_in_a_network_file(tmp_path, capsys, old, new, err):
+    bad = tmp_path / "bad.net"
+    bad.write_text(HK_NET.replace(old, new))
+    assert main(["analyze", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % err
 
 
 def test_division_by_zero_in_a_network_file(tmp_path, capsys):

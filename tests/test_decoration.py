@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multistat import decoration, points
 from multistat.decoration import (
@@ -11,8 +14,15 @@ from multistat.decoration import (
     is_decorated,
     positively_spanning,
 )
+from multistat.messi import assemble_region_system
+from multistat.networks import hybrid_kinase, mixed_phosphorylation, phosphorylation
 from multistat.points import PointConfiguration
-from oracles import contains_simplex, restricted_positive_solution, spanning_kernel_vector
+from oracles import (
+    affine_shares_facet,
+    contains_simplex,
+    restricted_positive_solution,
+    spanning_kernel_vector,
+)
 
 HK_POINTS = [(1, 0), (0, 1), (1, 1), (1, 2), (0, 0)]
 
@@ -121,3 +131,54 @@ def test_restricted_positive_solution_rejects_undecorated():
     C = hk_C((1, 1, 2, 1, 1, 1), (3, 1))
     with pytest.raises(ValueError):
         restricted_positive_solution(cfg, C, (1, 3, 4))
+
+
+# ---------------------------------------------------------------------------
+# find_decorated's one memo of minors against a per-simplex oracle
+# ---------------------------------------------------------------------------
+
+NETWORKS = {
+    "hk": hybrid_kinase,
+    "phospho:2": lambda: phosphorylation(2),
+    "phospho:3": lambda: phosphorylation(3),
+    "mixed-phospho": mixed_phosphorylation,
+}
+RATIONAL = st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=40)
+
+
+def per_simplex_decoration(cfg, C):
+    """The decorated and the indeterminate simplices, each simplex decided
+    on its own: exact signed minors by :func:`oracles.spanning_kernel_vector`,
+    or for a float ``C`` numpy's determinant of every submatrix, each sign
+    decided against 1e-9 times the largest of the simplex's minors."""
+    decorated, indeterminate = [], []
+    for s in points.enumerate_simplices(cfg):
+        sub = [[row[j] for j in s] for row in C]
+        if isinstance(C[0][0], float):
+            v = [(-1) ** i * np.linalg.det(np.delete(np.array(sub), i, axis=1))
+                 for i in range(len(s))]
+            scale = max(abs(x) for x in v) or 1.0
+            if any(abs(x) <= 1e-9 * scale for x in v):
+                indeterminate.append(s)
+                continue
+        else:
+            v = spanning_kernel_vector(sub)
+        if all(x > 0 for x in v) or all(x < 0 for x in v):
+            decorated.append(s)
+    return decorated, indeterminate
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_find_decorated_matches_the_per_simplex_oracle(name, data):
+    net, part = NETWORKS[name]()
+    kappa = {r.rate_name: data.draw(RATIONAL, label=r.rate_name) for r in net.reactions}
+    totals = [data.draw(RATIONAL, label="T%d" % i) for i in range(1, len(part))]
+    r = assemble_region_system(net, part, kappa, totals)
+    for C in (r.C, [[float(x) for x in row] for row in r.C]):
+        report = find_decorated(r.cfg, C)
+        assert (report.decorated, report.indeterminate) == per_simplex_decoration(r.cfg, C)
+        assert report.facet_pairs == [
+            (s1, s2) for s1, s2 in combinations(report.decorated, 2)
+            if affine_shares_facet(r.cfg, s1, s2)]

@@ -250,7 +250,7 @@ def test_new_rates_on_a_known_configuration_run_no_lp(monkeypatch):
     calls = []
     for owner, name in [(ratlin, "strict_feasible"), (points, "cone_normals"),
                         (points, "joint_cone"), (points, "enumerate_simplices"),
-                        (points, "shares_facet"), (decoration, "grow_families")]:
+                        (decoration, "grow_families")]:
         monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: calls.append(_name))
     second = find_decorated(cfg, C)
     assert calls == []

@@ -60,9 +60,11 @@ def reference_reactant_core_complexes(net, partition):
 def reference_probe(net, partition, kappa, totals, chosen, active):
     """Probe every reactant core complex with an exact factor of 2 at
     ``kappa``: the base system, the exponent of each active column per
-    uniformly scaling complex, and those complexes."""
+    uniformly scaling complex, and those complexes.  A complex scales
+    uniformly only if it leaves every chosen column unchanged."""
     kappa_exact = {k: Fraction(v) for k, v in net.rates(kappa).items()}
     base = assemble_region_system(net, partition, kappa_exact, totals, chosen)
+    unit_cols = base.chosen_columns()
     probes = []
     names = []
     for y in reference_reactant_core_complexes(net, partition):
@@ -75,7 +77,7 @@ def reference_probe(net, partition, kappa, totals, chosen, active):
             continue
         evec = {}
         uniform = True
-        for j in active:
+        for j in [*active, *unit_cols]:
             ratios = set()
             for a in range(len(base.C)):
                 c0, c1 = base.C[a][j], scaled.C[a][j]
@@ -96,6 +98,9 @@ def reference_probe(net, partition, kappa, totals, chosen, active):
                 uniform = False
                 break
             evec[j] = num.bit_length() - den.bit_length()
+            if j in unit_cols and evec[j] != 0:
+                uniform = False
+                break
         if uniform:
             probes.append(evec)
             names.append(y)
@@ -581,3 +586,19 @@ def test_witness_report_bytes_are_unchanged(name, tmp_path, monkeypatch):
     assert main([*GOLDEN[name], "--quiet", "--out", str(out)]) == 0
     with open(os.path.join(DATA, name), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_a_complex_that_changes_a_chosen_column_is_no_rescaling_direction():
+    # the rates out of S0 + E and out of S1 + E change the coefficient of a
+    # chosen column of mixed-phospho, which the rescaling must keep; so only
+    # F + S2 scales it, and a generic scaling is refused before the
+    # postcondition
+    net, part = mixed_phosphorylation()
+    region = assemble_region_system(net, part, {f"k{i}": 1 for i in range(1, 11)}, [1, 1, 3])
+    assert region.model.rescale_exponents[0] == ((("F", 1), ("S2", 1)),)
+    rng = random.Random(75)
+    for _ in range(100):
+        gamma = [2.0 ** rng.uniform(-3, 3) for _ in region.cfg.points]
+        with pytest.raises(MessiError) as exc:
+            rescale_back(region, gamma)
+        assert str(exc.value) == "column scaling is not realizable by rate rescaling"

@@ -66,6 +66,20 @@ def test_readme_network_file_example_parses():
     assert totals == {"T1": Fraction(7, 4), "T2": 1}
 
 
+@pytest.mark.parametrize(
+    "old,new,message",
+    [("T2 = 1", "T1 = 1", "line 11: repeated total 'T1'"),
+     ("T2 = 1\n", "T2 = 1\ntotals: T1 = 2 ; T2 = 5\n", "line 12: repeated key 'totals'"),
+     ("T2 = 1\n", "T2 = 1\npartition: 0: ; 1: X1 X2 X3 X4 X5 ; 2: X6\n",
+      "line 12: repeated key 'partition'"),
+     ("partition:", "species: X1 X2\npartition:", "line 4: repeated key 'species'")],
+)
+def test_a_repeated_key_or_total_names_its_line(old, new, message):
+    with pytest.raises(ParseError) as exc:
+        parse_network(HK_FILE.replace(old, new))
+    assert str(exc.value) == message
+
+
 def test_parse_decimal_and_fraction_rates():
     net, _, totals = parse_network(
         "species: A B\nreaction: A -> B ; k = 1.25\ntotals: T = 3/4"

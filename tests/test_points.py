@@ -3,10 +3,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from multistat import points
 from multistat.points import PointConfiguration
 from oracles import (
+    affine_shares_facet,
     circuit_relation,
     cone_contains,
     contains_simplex,
@@ -70,18 +73,37 @@ def test_enumerate_simplices_hk():
         assert s in simps
 
 
+def shares_facet(cfg, s1, s2):
+    return points.shares_facet(s1, s2, points.cone_normals(cfg.matrix, s1))
+
+
 def test_shares_facet():
     cfg = hk()
-    assert points.shares_facet(cfg, HK_D1, HK_D2)
-    assert points.shares_facet(cfg, HK_D2, HK_D3)
-    assert not points.shares_facet(cfg, HK_D1, HK_D3)  # only share {a4, origin}? -> common {3?}
-    assert not points.shares_facet(cfg, HK_D1, HK_D1)
+    assert shares_facet(cfg, HK_D1, HK_D2)
+    assert shares_facet(cfg, HK_D2, HK_D3)
+    assert not shares_facet(cfg, HK_D1, HK_D3)  # they share only the vertex 4
+    assert not shares_facet(cfg, HK_D1, HK_D1)
 
 
 def test_shares_facet_requires_opposite_sides():
     cfg = PointConfiguration([(0, 0), (1, 0), (0, 1), (2, 1)])
     # triangles 012 and 013 share edge {0,1}; apexes (0,1) and (2,1) on same side
-    assert not points.shares_facet(cfg, (0, 1, 2), (0, 1, 3))
+    assert not shares_facet(cfg, (0, 1, 2), (0, 1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(0, 3)] * d), min_size=d + 2, max_size=7, unique=True)))
+def test_shares_facet_matches_the_affine_functional(pts):
+    try:
+        cfg = PointConfiguration(pts)
+    except ValueError:
+        assume(False)
+    simps = points.enumerate_simplices(cfg)
+    for s1 in simps:
+        normals = points.cone_normals(cfg.matrix, s1)
+        for s2 in simps:
+            assert points.shares_facet(s1, s2, normals) == affine_shares_facet(cfg, s1, s2)
 
 
 def test_circuit_square():
@@ -223,7 +245,7 @@ def test_extend_height_random_configurations():
         pairs = [
             (s1, s2)
             for s1, s2 in combinations(simps, 2)
-            if points.shares_facet(cfg, s1, s2)
+            if shares_facet(cfg, s1, s2)
         ]
         if not pairs:
             continue
