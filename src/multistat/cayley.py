@@ -13,6 +13,7 @@ zero, obtained from a binomial system solved exactly in logarithms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -35,6 +36,11 @@ class CayleyConfiguration:
     offsets: list  # starting global index of each block
     d: int
     n: int
+
+    @functools.cached_property
+    def minor(self):
+        """The :func:`ratlin.minors` memo of ``matrix``; a deep copy shares it."""
+        return ratlin.minors(self.matrix)
 
     def block_of(self, idx):
         for i in range(self.d - 1, -1, -1):
@@ -86,8 +92,7 @@ def enumerate_mixed_simplices(cay, first_only=False):
     out = []
     for choice in product(*pair_sets):
         idx = sum(choice, ())
-        sub = [[cay.matrix[r][j] for j in idx] for r in range(2 * cay.d)]
-        if ratlin.determinant(sub) != 0:
+        if cay.minor(idx) != 0:
             if first_only:
                 return [idx]
             out.append(idx)

@@ -55,20 +55,17 @@ def _sign(x, scale=None):
 def _minors(C):
     """One memo of the maximal minors of ``C``: ``minor(cols)`` is the
     determinant of the columns ``cols``, computed at most once, by numpy
-    when ``C`` holds a float, else exactly, an integer, on the rows of ``C``
-    scaled once to integers (a positive row scale changes no sign)."""
-    if any(isinstance(x, float) for row in C for x in row):
-        import numpy as np
+    when ``C`` holds a float, else :func:`ratlin.minors` (an integer with
+    the sign of the true minor)."""
+    if not any(isinstance(x, float) for row in C for x in row):
+        return ratlin.minors(C)
+    import numpy as np
 
-        def det(cols):
-            return float(np.linalg.det(np.array([[float(row[j]) for j in cols] for row in C])))
-    else:
-        rows = [ratlin._scaled(row)[0] for row in C]
+    @functools.cache
+    def det(cols):
+        return float(np.linalg.det(np.array([[float(row[j]) for j in cols] for row in C])))
 
-        def det(cols):
-            return ratlin.determinant([[row[j] for j in cols] for row in rows]).numerator
-
-    return functools.cache(det)
+    return det
 
 
 def _spans(minor, simplex):
@@ -192,7 +189,7 @@ class _Table:
         """The families :func:`grow_families` grows from ``decorated``."""
         key = tuple(decorated)
         if key not in self.families:
-            self.normals.update({s: tuple(pts_mod.cone_normals(self.config.matrix, s))
+            self.normals.update({s: tuple(pts_mod.cone_normals(self.config, s))
                                  for s in decorated if s not in self.normals})
             self.families[key] = grow_families(decorated, self.normals, self.feasible)
         return self.families[key]

@@ -273,8 +273,6 @@ def parse_network(text, name="network"):
                     rname, rval = rate_part.split("=", 1)
                     rname = rname.strip()
                     rate = parse_number(rval)
-                    if rate <= 0:
-                        raise ParseError("rate must be positive")
                 else:
                     arrow_part, rname, rate = rest, "k%d" % (len(reactions) + 1), None
                 if "->" not in arrow_part:

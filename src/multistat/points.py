@@ -16,6 +16,7 @@ linear programming.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -59,8 +60,10 @@ class PointConfiguration:
     def __repr__(self):
         return "PointConfiguration(%r)" % (self.points,)
 
-    def submatrix(self, cols):
-        return [[row[j] for j in cols] for row in self.matrix]
+    @functools.cached_property
+    def minor(self):
+        """The :func:`ratlin.minors` memo of ``matrix``."""
+        return ratlin.minors(self.matrix)
 
 
 def build_matrix(points):
@@ -71,11 +74,7 @@ def build_matrix(points):
 def enumerate_simplices(cfg):
     """All simplices (index tuples of d+1 affinely independent points),
     lexicographically ordered."""
-    out = []
-    for I in combinations(range(cfg.n), cfg.d + 1):
-        if ratlin.determinant(cfg.submatrix(I)) != 0:
-            out.append(I)
-    return out
+    return [I for I in combinations(range(cfg.n), cfg.d + 1) if cfg.minor(I) != 0]
 
 
 def shares_facet(s1, s2, normals):
@@ -102,34 +101,35 @@ class ConeDescription:
         return ratlin.strict_feasible(self.normals)
 
 
-def cone_normals(matrix, simplex):
+def cone_normals(cfg, simplex):
     """Normals of the cone of heights selecting ``simplex`` in the induced
-    subdivision, for a full-row-rank r x n matrix and an index set I of r
-    independent columns.
+    subdivision, read off the minors memo ``cfg.minor`` of the r x n
+    configuration matrix for an index set I of r independent columns.
 
-    For each ``i`` outside ``I`` the normal is ``d_I * m`` where ``m`` is the
-    kernel vector of the matrix supported on ``I + {i}`` with ``m_i = d_I``;
-    these normals form a basis of the kernel of the matrix.
+    With ``d_I`` the minor of the sorted I, the normal for each ``i``
+    outside I is ``d_I`` times the circuit on ``I + {i}`` with entry
+    ``d_I`` at ``i``: by Cramer's rule its entry at the ``k``-th ``j`` of
+    I is ``-d_I`` times the determinant of I with ``a_i`` in ``a_j``'s
+    place, that is ``(-1)^(k-q)`` times the minor of ``J = I - {j} + {i}``
+    sorted, where ``q`` is ``i``'s place in ``J``.  These normals form a
+    basis of the kernel of the matrix, independent of the vertex order.
     """
-    I = list(simplex)
-    r = len(matrix)
-    n = len(matrix[0])
-    if len(I) != r:
+    I = tuple(sorted(simplex))
+    if len(I) != len(cfg.matrix):
         raise ValueError("simplex must index r columns")
-    AI = [[matrix[a][j] for j in I] for a in range(r)]
-    dI = ratlin.determinant(AI)
+    dI = cfg.minor(I)
     if dI == 0:
         raise ValueError("degenerate simplex")
-    # one elimination solves A_I x = -d_I a_i for every i outside I
-    out = [i for i in range(n) if i not in I]
-    R, _ = ratlin.rref([AI[a] + [-dI * matrix[a][i] for i in out] for a in range(r)])
     normals = []
-    for t, i in enumerate(out):
-        m = [Fraction(0)] * n
-        m[i] = dI
+    for i in range(cfg.n):
+        if i in I:
+            continue
+        m = [0] * cfg.n
+        m[i] = dI * dI
         for k, j in enumerate(I):
-            m[j] = R[k][r + t]
-        normals.append(tuple(dI * x for x in m))
+            J = tuple(sorted(I[:k] + I[k + 1:] + (i,)))
+            m[j] = (-1) ** (k + J.index(i) + 1) * dI * cfg.minor(J)
+        normals.append(tuple(m))
     return normals
 
 
@@ -147,21 +147,13 @@ def _dedupe(normals):
 def joint_cone(cfg, simplices, normals=None):
     """Cone of heights selecting every simplex of the family at once;
     duplicate inequalities (up to positive scaling) are removed.  Only
-    ``cfg.matrix`` and ``cfg.n`` are read, so a Cayley configuration works
-    as well as a point configuration.  ``normals[s]``, when given, are the
-    already computed cone normals of ``s``."""
+    ``cfg.matrix``, ``cfg.minor`` and ``cfg.n`` are read, so a Cayley
+    configuration works as well as a point configuration.  ``normals[s]``,
+    when given, are the already computed cone normals of ``s``."""
     joint = []
     for s in simplices:
-        joint.extend(cone_normals(cfg.matrix, s) if normals is None else normals[s])
+        joint.extend(cone_normals(cfg, s) if normals is None else normals[s])
     return ConeDescription(_dedupe(joint), cfg.n)
-
-
-def _interpolator(cfg, cell, heights):
-    """Affine function (b, w) with b + <w, a_j> = h_j on d+1 independent
-    points of ``cell``."""
-    pts = list(cell)[: cfg.d + 1]
-    rows = [[1, *cfg.points[j]] for j in pts]
-    return ratlin.solve(rows, [heights[j] for j in pts])
 
 
 @dataclass
@@ -176,30 +168,28 @@ class Subdivision:
 def regular_subdivision(cfg, heights):
     """Regular subdivision induced by ``heights``.
 
-    Scans all (d+1)-subsets of affinely independent points; each one whose
-    interpolating affine function lies weakly below every lifted point spans
-    a lower facet, recorded as the set of all points its plane touches.
-    Coplanar touching sets are merged by construction.
+    The normal of simplex I at a point ``i`` outside it is positive at
+    ``h`` exactly when the lifted ``a_i`` lies above the plane through the
+    lifted points of I (it is ``d_I^2`` times the height difference).  So I
+    spans a lower facet when no normal is negative, and the facet's cell
+    is I plus every point whose normal is zero.  Coplanar touching sets
+    are merged by construction.
     """
     h = [Fraction(x) for x in heights]
     if len(h) != cfg.n:
         raise ValueError("need one height per point")
+    hs = [int(x) for x in ratlin.primitive(h)]  # a positive scale keeps every sign
     cells = set()
-    for I in combinations(range(cfg.n), cfg.d + 1):
-        if ratlin.determinant(cfg.submatrix(I)) == 0:
-            continue
-        phi = _interpolator(cfg, I, h)
-        marked = []
-        lower = True
-        for j in range(cfg.n):
-            val = phi[0] + sum(w * Fraction(x) for w, x in zip(phi[1:], cfg.points[j]))
-            if val > h[j]:
-                lower = False
+    for I in enumerate_simplices(cfg):
+        marked = list(I)
+        for i, m in zip([i for i in range(cfg.n) if i not in I], cone_normals(cfg, I)):
+            val = m[i] * hs[i] + sum(m[j] * hs[j] for j in I)
+            if val < 0:
                 break
-            if val == h[j]:
-                marked.append(j)
-        if lower:
-            cells.add(tuple(marked))
+            if val == 0:
+                marked.append(i)
+        else:
+            cells.add(tuple(sorted(marked)))
     return Subdivision(sorted(cells), h)
 
 

@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Inputs are matrices given as lists of lists of rationals (``int`` or
-:class:`fractions.Fraction`); results are Fractions.  Internally every row
+:class:`fractions.Fraction`); results are Fractions, minors ints.  Every row
 is scaled once to integers and eliminated fraction-free, each update
 ``p * row - f * pivot_row`` divided by the gcd of its entries, so only
 ``int`` arithmetic runs and every sign and ratio is the exact one.  The
 module provides
 
-* reduced row echelon form, rank, kernel bases and linear solves,
-* determinants by fraction-free (Bareiss) elimination,
+* rank and kernel bases,
+* one memo of the maximal minors of a matrix, each by fraction-free
+  (Bareiss) elimination,
 * an exact simplex method for linear programs over the rationals,
 * strict feasibility certificates for open polyhedral cones
   ``{h : <m_r, h> > 0 for all r}``.
@@ -16,15 +17,14 @@ module provides
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
-    "rref",
     "rank",
     "kernel_basis",
-    "solve",
-    "determinant",
+    "minors",
     "primitive",
     "strict_feasible",
     "lp_feasible",
@@ -88,17 +88,6 @@ def _echelon(rows):
     return m, pivots
 
 
-def rref(rows):
-    """Reduced row echelon form with leftmost pivots.
-
-    Returns ``(R, pivots)`` where ``pivots`` lists the pivot column of each
-    nonzero row, in order.
-    """
-    m, pivots = _echelon(rows)
-    dens = [m[i][p] for i, p in enumerate(pivots)] + [1] * (len(m) - len(pivots))
-    return [[Fraction(x, d) for x in row] for row, d in zip(m, dens)], pivots
-
-
 def rank(rows):
     return len(_echelon(rows)[1])
 
@@ -126,42 +115,35 @@ def kernel_basis(rows):
     return basis
 
 
-def solve(rows, rhs):
-    """Solve ``rows @ x = rhs`` for square nonsingular ``rows``."""
-    n = len(rows)
-    R, pivots = _echelon([list(row) + [rhs[i]] for i, row in enumerate(rows)])
-    if pivots != list(range(n)):
-        raise LPError("singular system")
-    return [Fraction(R[i][n], R[i][i]) for i in range(n)]
+def minors(rows):
+    """One memo of the maximal minors of ``rows``: ``minor(cols)`` is the
+    determinant of the columns ``cols`` of the rows scaled once to
+    integers, computed at most once, by fraction-free (Bareiss)
+    elimination.  It is an ``int``, the true minor times the product of
+    the row scales, so it is the true minor on integer rows and has its
+    sign on any rows."""
+    m = [_scaled(row)[0] for row in rows]
 
+    @functools.cache
+    def minor(cols):
+        a = [[row[j] for j in cols] for row in m]
+        n, sign, prev = len(a), 1, 1
+        for k in range(n - 1):
+            if a[k][k] == 0:
+                piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+                if piv is None:
+                    return 0
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            pk, p = a[k], a[k][k]
+            for i in range(k + 1, n):
+                b = a[i][k]
+                a[i] = [0] * (k + 1) + [(p * x - b * y) // prev
+                                        for x, y in zip(a[i][k + 1:], pk[k + 1:])]
+            prev = p
+        return sign * a[n - 1][n - 1] if n else 1
 
-def determinant(rows):
-    """Determinant by fraction-free (Bareiss) elimination on the rows
-    scaled to integers."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m, scale = [], 1
-    for row in rows:
-        ints, den = _scaled(row)
-        m.append(ints)
-        scale *= den
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pk, a = m[k], m[k][k]
-        for i in range(k + 1, n):
-            b = m[i][k]
-            m[i] = [0] * (k + 1) + [(a * x - b * y) // prev
-                                    for x, y in zip(m[i][k + 1:], pk[k + 1:])]
-        prev = a
-    return Fraction(sign * m[n - 1][n - 1], scale)
+    return minor
 
 
 def primitive(vec):

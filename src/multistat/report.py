@@ -24,7 +24,7 @@ def rational(x):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def inequality(normal, var="h"):
+def inequality(normal):
     """Human-readable strict inequality ``<normal, h> > 0``."""
     parts = []
     for i, c in enumerate(normal):
@@ -33,7 +33,7 @@ def inequality(normal, var="h"):
             continue
         mag = abs(c)
         coef = "" if mag == 1 else "%s*" % (mag if mag.denominator == 1 else rational(mag))
-        term = "%s%s%d" % (coef, var, i)
+        term = "%sh%d" % (coef, i)
         if not parts:
             parts.append(term if c > 0 else "-" + term)
         else:
@@ -41,9 +41,9 @@ def inequality(normal, var="h"):
     return (" ".join(parts) if parts else "0") + " > 0"
 
 
-def _emit(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, out, level):
+    pad = "  " * level  # two spaces per nesting level
+    pad_in = "  " * (level + 1)
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -70,7 +70,7 @@ def _emit(obj, out, indent, level):
         items = list(obj.items())
         for i, (k, v) in enumerate(items):
             out.append(pad_in + json.dumps(str(k)) + ": ")
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -81,15 +81,15 @@ def _emit(obj, out, indent, level):
         out.append("[\n")
         for i, v in enumerate(seq):
             out.append(pad_in)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i + 1 < len(seq) else "\n")
         out.append(pad + "]")
     else:
         raise TypeError("cannot serialize %r" % type(obj))
 
 
-def dumps(obj, indent=2):
+def dumps(obj):
     out = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)

@@ -174,7 +174,8 @@ def newton_solve_many(system, seeds, basins, which=None):
         cut = NEWTON_BLOCK
         return (newton_solve_many(system, seeds[:cut], basins[:cut], which[:cut])
                 + newton_solve_many(system, seeds[cut:], basins[cut:], which[cut:]))
-    u = np.log(np.asarray(seeds, dtype=float).reshape(len(seeds), system.d))
+    with np.errstate(divide="ignore"):  # a seed that underflowed to 0 stops as non-finite
+        u = np.log(np.asarray(seeds, dtype=float).reshape(len(seeds), system.d))
     # the last point of every seed with its residual and Jacobian, written
     # when it stops; a failed seed gets a NaN residual
     end_u = u.copy()
@@ -550,7 +551,7 @@ def mixed_decoration(cfg, C):
     with float-accelerated LPs; the report holds copies."""
     blocks, coeffs, columns = [], [], []
     for row in C:
-        support = [j for j, c in enumerate(row) if float(c) != 0.0]
+        support = [j for j, c in enumerate(row) if c != 0]
         blocks.append(tuple(cfg.points[j] for j in support))
         coeffs.append([row[j] for j in support])
         columns.extend(support)
@@ -587,17 +588,15 @@ def _mixed_simplex_seed(system, report, simplex):
     return np.exp(u)
 
 
-def mixed_witness_search(cfg, C, report=None, budget=60, rng=None):
+def mixed_witness_search(cfg, C, report, budget=60, rng=None):
     """Decreasing-t search along a per-coefficient height of the largest
-    family of mixed-decorated simplices of ``report`` (by default
-    :func:`mixed_decoration` of ``(cfg, C)``).
+    family of mixed-decorated simplices of ``report``, the
+    :func:`mixed_decoration` of ``(cfg, C)``.
 
     The deformation scales every coefficient independently (one height per
     Cayley point), so no rate-constant pullback is attempted; the result
     certifies root counts of the deformed system itself.
     """
-    if report is None:
-        report = mixed_decoration(cfg, C)
     family = report.best
     if family is None or family.height is None:
         raise ValueError("no realizable mixed-decorated family")

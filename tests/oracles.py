@@ -3,14 +3,15 @@ affine relation of a circuit, the facet test by an affine functional, the
 depth-first exclusion sweep the package's level-synchronous one must
 reproduce, a two-simplex height, the MESSI graph layer (Matrix-Tree
 elimination of intermediates and the association graphs of
-``s_toric_check``), signed minors by ``Fraction`` determinants, and the
+``s_toric_check``), signed minors by ``Fraction`` determinants, cone
+normals by elimination and subdivisions by interpolants, and the
 closed-form positive zeros, coefficient scalings and membership tests the
 package does not need."""
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from multistat import witness
 from multistat.cayley import mixed_decorated
 from multistat.decoration import positively_spanning
 from multistat.messi import MessiError, messi_model
-from multistat.points import ConeDescription, _interpolator, cone_normals
-from multistat.ratlin import determinant, kernel_basis, lp_feasible, primitive
+from multistat.points import ConeDescription, Subdivision, cone_normals
+from multistat.ratlin import kernel_basis, lp_feasible, primitive
 
 
 def fourier_motzkin_feasible(normals):
@@ -104,7 +105,7 @@ def circuit_relation(cfg, support):
     support = tuple(support)
     if len(support) != cfg.d + 2:
         raise ValueError("a circuit support has d+2 points")
-    ker = kernel_basis(cfg.submatrix(support))
+    ker = kernel_basis([[row[j] for j in support] for row in cfg.matrix])
     if len(ker) != 1:
         raise ValueError("points do not affinely span R^d")
     lam = ker[0]
@@ -120,7 +121,7 @@ def circuit_relation(cfg, support):
 def simplex_cone(cfg, simplex):
     """Cone of heights whose regular subdivision has ``simplex`` as a cell
     with exactly its own vertices marked."""
-    return ConeDescription(cone_normals(cfg.matrix, simplex), cfg.n)
+    return ConeDescription(cone_normals(cfg, simplex), cfg.n)
 
 
 def box_excludes(system, lo, hi):
@@ -255,7 +256,7 @@ def tree_sum(nodes, weights, root):
             L[idx[u]][idx[u]] += Fraction(w)
             if v in idx:
                 L[idx[u]][idx[v]] -= Fraction(w)
-    return determinant(L)
+    return fraction_determinant(L)
 
 
 def _collapsed_graph(net, partition, kappa):
@@ -543,6 +544,68 @@ def fraction_determinant(M):
             f = M[i][k] / M[k][k]
             M[i] = [a - f * b for a, b in zip(M[i], M[k])]
     return det
+
+
+def fraction_solve(M, rhs):
+    """Solve ``M x = rhs`` for square nonsingular ``M`` by Gauss-Jordan
+    elimination over ``Fraction``."""
+    n = len(M)
+    A = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(M, rhs)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if A[i][k] != 0)
+        A[k], A[piv] = A[piv], A[k]
+        A[k] = [x / A[k][k] for x in A[k]]
+        for i in range(n):
+            if i != k and A[i][k] != 0:
+                A[i] = [a - A[i][k] * b for a, b in zip(A[i], A[k])]
+    return [row[n] for row in A]
+
+
+def _interpolator(cfg, cell, heights):
+    """Affine function (b, w) with b + <w, a_j> = h_j on d+1 independent
+    points of ``cell``."""
+    pts = list(cell)[: cfg.d + 1]
+    return fraction_solve([[1, *cfg.points[j]] for j in pts], [heights[j] for j in pts])
+
+
+def elimination_cone_normals(matrix, simplex):
+    """The cone normals of ``simplex`` by elimination, in its own vertex
+    order: for each ``i`` outside the simplex I, ``d_I * m`` where ``m`` is
+    the kernel vector supported on ``I + {i}`` with ``m_i = d_I``, solved
+    from ``A_I x = -d_I a_i``."""
+    I = list(simplex)
+    r, n = len(matrix), len(matrix[0])
+    AI = [[matrix[a][j] for j in I] for a in range(r)]
+    dI = fraction_determinant(AI)
+    normals = []
+    for i in range(n):
+        if i in I:
+            continue
+        x = fraction_solve(AI, [-dI * matrix[a][i] for a in range(r)])
+        m = [Fraction(0)] * n
+        m[i] = dI
+        for k, j in enumerate(I):
+            m[j] = x[k]
+        normals.append(tuple(dI * v for v in m))
+    return normals
+
+
+def interpolant_subdivision(cfg, heights):
+    """Regular subdivision by interpolants: each (d+1)-subset of affinely
+    independent points whose interpolating affine function lies weakly
+    below every lifted point spans a lower facet, whose cell is every
+    point the function touches."""
+    h = [Fraction(x) for x in heights]
+    cells = set()
+    for I in combinations(range(cfg.n), cfg.d + 1):
+        if fraction_determinant([[row[j] for j in I] for row in cfg.matrix]) == 0:
+            continue
+        phi = _interpolator(cfg, I, h)
+        vals = [phi[0] + sum(w * x for w, x in zip(phi[1:], cfg.points[j]))
+                for j in range(cfg.n)]
+        if all(v <= hj for v, hj in zip(vals, h)):
+            cells.add(tuple(j for j in range(cfg.n) if vals[j] == h[j]))
+    return Subdivision(sorted(cells), h)
 
 
 def spanning_kernel_vector(M):

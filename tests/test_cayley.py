@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multistat import cayley, decoration, points, ratlin
@@ -12,7 +12,9 @@ from multistat.cayley import cayley_configuration, enumerate_mixed_simplices
 from oracles import (
     block_pairs,
     cone_contains,
+    elimination_cone_normals,
     exponent_matrix,
+    fraction_determinant,
     in_cone,
     is_mixed_decorated,
     mixed_positive_solution,
@@ -73,7 +75,7 @@ def test_enumerate_mixed_simplices():
     # independence matches invertibility of the difference matrix
     for s in simps:
         M = exponent_matrix(cay, s)
-        assert ratlin.determinant([[Fraction(x) for x in r] for r in M]) != 0
+        assert fraction_determinant(M) != 0
     # and each excluded two-per-block choice has singular difference matrix
     from itertools import product
 
@@ -84,7 +86,7 @@ def test_enumerate_mixed_simplices():
             [HK_BLOCKS[0][p1[0]][k] - HK_BLOCKS[0][p1[1]][k] for k in range(2)],
             [HK_BLOCKS[1][p2[0]][k] - HK_BLOCKS[1][p2[1]][k] for k in range(2)],
         ]
-        singular = ratlin.determinant(rows) == 0
+        singular = fraction_determinant(rows) == 0
         assert (idx in simps) == (not singular)
 
 
@@ -161,13 +163,29 @@ def test_mixed_cone_normals_annihilated_by_cayley_matrix():
             assert sum(a * x for a, x in zip(row, m)) == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=2, max_size=4, unique=True),
+    min_size=d, max_size=d)), st.randoms(use_true_random=False))
+def test_mixed_cone_normals_are_the_eliminated_normals(blocks, rng):
+    try:
+        cay = cayley_configuration(blocks)
+    except ValueError:
+        assume(False)
+    for s in enumerate_mixed_simplices(cay):
+        shuffled = rng.sample(s, len(s))
+        got = points.cone_normals(cay, shuffled)
+        assert got == elimination_cone_normals(cay.matrix, shuffled)
+        assert all(type(x) is int for m in got for x in m)
+
+
 def test_solve_binomial_roundtrip_random():
     rng = random.Random(17)
     for _ in range(200):
         d = rng.randint(1, 3)
         while True:
             M = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
-            if ratlin.determinant(M) != 0:
+            if fraction_determinant(M) != 0:
                 break
         beta = [Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(d)]
         x = solve_binomial(M, beta)

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -204,7 +205,8 @@ def test_the_seed_variable_seeds_the_cli_search(tmp_path, monkeypatch, mixed):
     # the report of the library call with that generator
     if mixed:
         region = messi.assemble_region_system(net, part, kappa, totals)
-        rep = real(region.cfg, region.C, rng=random.Random(5))
+        rep = real(region.cfg, region.C, witness.mixed_decoration(region.cfg, region.C),
+                   rng=random.Random(5))
     else:
         rep = witness.certify_multistationarity(net, part, kappa, totals,
                                                 rng=random.Random(5))[1]
@@ -257,6 +259,30 @@ def test_division_by_zero_in_a_network_file(tmp_path, capsys):
     bad.write_text(HK_NET.replace("k3 = 2", "k3 = 1/0"))
     assert main(["analyze", str(bad)]) == 2
     assert capsys.readouterr().err == "error: line 6: not a number: '1/0'\n"
+
+
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_a_zero_rate_exits_3_from_a_file_or_the_k_flag(tmp_path, capsys, source):
+    net = tmp_path / "hk.net"
+    if source == "file":
+        net.write_text(HK_NET.replace("k3 = 2", "k3 = 0"))
+        args = [str(net)]
+    else:
+        net.write_text(HK_NET)
+        args = [str(net), "--k", "1,1,0,1,1,1"]
+    assert main(["analyze", *args]) == 3
+    assert capsys.readouterr().err == "error: rate k3 = 0 is not positive and finite\n"
+
+
+@pytest.mark.parametrize("command,code", [(["mixed-analyze"], 0), (["witness", "--mixed"], 4)])
+def test_a_coefficient_past_the_double_range_on_the_mixed_route(capsys, command, code):
+    # the support is decided exactly: no overflow, and a seed that underflows
+    # to 0 stops without a warning
+    args = ["--builtin", "hk", "--k", "1,1,2,1e200,1e200,1", "--T", "7/4,1", "--quiet"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*command, *args]) == code
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

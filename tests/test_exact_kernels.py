@@ -5,9 +5,11 @@ The references below are the earlier ``Fraction`` implementations of the
 simplex method, the reduced row echelon form and the Bareiss determinant,
 kept here unchanged except for an optional ``events`` set that records
 which branches a run took.  Every integer kernel must return exactly what
-its reference returns, as Fractions.
+its reference returns, as Fractions; a minor is the determinant of the
+rows scaled to integers, an ``int``.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -63,15 +65,6 @@ def ref_kernel_basis(rows):
             v[p] = -R[i][f]
         basis.append(v)
     return basis
-
-
-def ref_solve(rows, rhs):
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    R, pivots = ref_rref(aug)
-    if pivots != list(range(n)):
-        raise ratlin.LPError("singular system")
-    return [R[i][n] for i in range(n)]
 
 
 def ref_determinant(rows):
@@ -326,34 +319,21 @@ def test_slack_lp_is_the_fraction_lp(rng):
 @given(st.randoms(use_true_random=False))
 def test_elimination_matches_fraction_references(rng):
     M = random_matrix(rng)
-    R, pivots = ratlin.rref(M)
-    assert (R, pivots) == ref_rref(M)
-    assert all(_all_fractions(row) for row in R)
-    assert ratlin.rank(M) == len(pivots)
+    assert ratlin.rank(M) == len(ref_rref(M)[1])
     ker = ratlin.kernel_basis(M)
     assert ker == ref_kernel_basis(M)
     assert all(_all_fractions(v) for v in ker)
+    # the minor is the determinant of the rows scaled to integers
     square = [row[:len(M)] for row in M] if len(M[0]) >= len(M) else M[:len(M[0])]
-    det = ratlin.determinant(square)
-    assert det == ref_determinant(square) and type(det) is Fraction
-    rhs = [_rational(rng) for _ in square]
-    if det != 0:
-        x = ratlin.solve(square, rhs)
-        assert x == ref_solve(square, rhs) and _all_fractions(x)
-    else:
-        try:
-            ratlin.solve(square, rhs)
-        except ratlin.LPError:
-            pass
-        else:
-            raise AssertionError("solve accepted a singular system")
+    minor = ratlin.minors(square)(tuple(range(len(square))))
+    scale = math.prod(math.lcm(*(Fraction(x).denominator for x in row)) for row in square)
+    assert minor == ref_determinant(square) * scale and type(minor) is int
 
 
 def test_elimination_edge_cases():
-    assert ratlin.rref([]) == ([], [])
-    assert ratlin.rref([[0, 0], [0, 0]]) == ref_rref([[0, 0], [0, 0]])
     assert ratlin.rank([]) == 0
-    assert ratlin.determinant([]) == 1
-    assert ratlin.determinant([[Fraction(3, 4)]]) == Fraction(3, 4)
-    assert ratlin.determinant([[0, 1], [1, 0]]) == -1
+    assert ratlin.rank([[0, 0], [0, 0]]) == 0
+    assert ratlin.minors([])(()) == 1
+    assert ratlin.minors([[Fraction(3, 4)]])((0,)) == 3
+    assert ratlin.minors([[0, 1], [1, 0]])((0, 1)) == -1
     assert ratlin.kernel_basis([[0, 0, 0]]) == ref_kernel_basis([[0, 0, 0]])

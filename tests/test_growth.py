@@ -70,7 +70,7 @@ def reference_find_decorated(cfg, C):
 def reference_mixed_families(cay, decorated):
     """The growth loop of ``mixed_decoration`` before the shared routine:
     one float LP on the concatenated cached normals per check."""
-    normals = {s: points.cone_normals(cay.matrix, s) for s in decorated}
+    normals = {s: points.cone_normals(cay, s) for s in decorated}
     families = []
     seen = set()
     for seed in decorated:

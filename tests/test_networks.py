@@ -99,7 +99,6 @@ def test_parse_multipliers():
         ("reaction: A -> B ; k = 1", "species"),
         ("species: A B\nreaction: A -> C ; k = 1", "unknown species"),
         ("species: A B\nreaction: A B ; k = 1", "line 2"),
-        ("species: A B\nreaction: A -> B ; k = 0", "positive"),
         ("species: A B\nreaction: A -> B ; k = x", "line 2"),
         ("species: A B\nfrobnicate: yes", "unknown key"),
         ("species: A B\nreaction: A -> B ; k = 1\nreaction: A -> B ; q = 2", "duplicate"),
@@ -110,6 +109,14 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_network(text)
     assert fragment.lower() in str(exc.value).lower()
+
+
+@pytest.mark.parametrize("value", ["0", "-1/2"])
+def test_a_rate_that_is_not_positive_parses(value):
+    # the steady-state parametrization decides every rate, from a file or
+    # from --k alike
+    net, _, _ = parse_network("species: A B\nreaction: A -> B ; k = " + value)
+    assert net.rates() == {"k": Fraction(value)}
 
 
 @pytest.mark.parametrize(

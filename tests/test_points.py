@@ -13,8 +13,10 @@ from oracles import (
     circuit_relation,
     cone_contains,
     contains_simplex,
+    elimination_cone_normals,
     extend_height,
     in_cone,
+    interpolant_subdivision,
     simplex_cone,
 )
 
@@ -74,7 +76,7 @@ def test_enumerate_simplices_hk():
 
 
 def shares_facet(cfg, s1, s2):
-    return points.shares_facet(s1, s2, points.cone_normals(cfg.matrix, s1))
+    return points.shares_facet(s1, s2, points.cone_normals(cfg, s1))
 
 
 def test_shares_facet():
@@ -101,7 +103,7 @@ def test_shares_facet_matches_the_affine_functional(pts):
         assume(False)
     simps = points.enumerate_simplices(cfg)
     for s1 in simps:
-        normals = points.cone_normals(cfg.matrix, s1)
+        normals = points.cone_normals(cfg, s1)
         for s2 in simps:
             assert points.shares_facet(s1, s2, normals) == affine_shares_facet(cfg, s1, s2)
 
@@ -270,3 +272,37 @@ def test_random_heights_induced_subdivision_lies_in_joint_cone():
         # cells cover all indices by construction; check pairwise marked sets
         for c in sub.cells:
             assert len(c) >= cfg.d + 1
+
+
+CONFIGURATIONS = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-2, 3)] * d), min_size=d + 2, max_size=7, unique=True))
+
+
+def configuration(pts):
+    try:
+        return PointConfiguration(pts)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CONFIGURATIONS, st.randoms(use_true_random=False))
+def test_cone_normals_are_the_eliminated_normals(pts, rng):
+    # every simplex, its vertices shuffled: the circuits read off the minors
+    # equal the normals solved by elimination in that vertex order
+    cfg = configuration(pts)
+    for s in points.enumerate_simplices(cfg):
+        shuffled = rng.sample(s, len(s))
+        got = points.cone_normals(cfg, shuffled)
+        assert got == points.cone_normals(cfg, s)
+        assert got == elimination_cone_normals(cfg.matrix, shuffled)
+        assert all(type(x) is int for m in got for x in m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CONFIGURATIONS, st.data())
+def test_regular_subdivision_is_the_interpolant_subdivision(pts, data):
+    cfg = configuration(pts)
+    h = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                           min_size=cfg.n, max_size=cfg.n))
+    assert points.regular_subdivision(cfg, h) == interpolant_subdivision(cfg, h)

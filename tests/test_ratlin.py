@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from multistat import ratlin
 from multistat.decoration import _opposed, _sum_interior
-from oracles import cone_contains, fourier_motzkin_feasible
+from oracles import cone_contains, fourier_motzkin_feasible, fraction_determinant
 
 
 def cofactor_det(rows):
@@ -21,17 +22,43 @@ def cofactor_det(rows):
     return total
 
 
+def full_minor(rows):
+    return ratlin.minors(rows)(tuple(range(len(rows))))
+
+
 def test_determinant_matches_cofactor_expansion():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(1, 5)
-        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-        assert ratlin.determinant(m) == cofactor_det(m)
+        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        assert full_minor(m) == cofactor_det(m)
 
 
 def test_determinant_singular():
-    assert ratlin.determinant([[1, 2], [2, 4]]) == 0
-    assert ratlin.determinant([]) == 1
+    assert full_minor([[1, 2], [2, 4]]) == 0
+    assert full_minor([]) == 1
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(st.lists(st.fractions(-6, 6, max_denominator=5),
+                                  min_size=r + 2, max_size=r + 2), min_size=r, max_size=r))))
+def test_minors_are_the_fraction_determinants(case):
+    # integer rows: every maximal minor, memoized or not, is the determinant;
+    # rational rows: one positive multiple of it across all column sets
+    r, rows = case
+    ints = [[x.numerator for x in row] for row in rows]
+    minor, scaled = ratlin.minors(ints), ratlin.minors(rows)
+    ratios = set()
+    for cols in combinations(range(r + 2), r):
+        det = fraction_determinant([[row[j] for j in cols] for row in ints])
+        got = minor(cols)
+        assert type(got) is int and got == det and minor(cols) == got  # the memo's answer
+        det = fraction_determinant([[row[j] for j in cols] for row in rows])
+        assert type(scaled(cols)) is int and (scaled(cols) == 0) == (det == 0)
+        if det:
+            ratios.add(scaled(cols) / det)
+    assert len(ratios) <= 1 and all(q > 0 for q in ratios)
 
 
 def test_kernel_basis_convention():
@@ -64,19 +91,6 @@ def test_kernel_vectors_annihilate():
         for v in ker:
             for row in M:
                 assert sum(Fraction(a) * x for a, x in zip(row, v)) == 0
-
-
-def test_solve_roundtrip():
-    rng = random.Random(3)
-    for _ in range(50):
-        n = rng.randint(1, 4)
-        while True:
-            M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            if ratlin.determinant(M) != 0:
-                break
-        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-        rhs = [sum(Fraction(M[i][j]) * x[j] for j in range(n)) for i in range(n)]
-        assert ratlin.solve(M, rhs) == x
 
 
 def test_primitive():

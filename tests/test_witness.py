@@ -611,7 +611,8 @@ def test_witness_search_rejects_a_budget_past_the_smallest_double():
     with pytest.raises(ValueError, match="at most 1074"):
         witness_search(region.cfg, region.C, family, budget=1075)
     with pytest.raises(ValueError, match="at most 1074"):
-        witness.mixed_witness_search(region.cfg, region.C, budget=1075)
+        witness.mixed_witness_search(region.cfg, region.C,
+                                     witness.mixed_decoration(region.cfg, region.C), budget=1075)
 
 
 def test_a_stack_of_systems_evaluates_as_each_system():
