@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import ratlin
-from .decoration import _sign
 
 __all__ = [
     "CayleyConfiguration",
@@ -103,16 +102,14 @@ def mixed_decorated(cay, coeffs, simplices):
     """Per mixed simplex ``s`` of ``cay``: whether the two points it picks
     from every block ``i``, ``s[2i]`` and ``s[2i+1]``, have coefficients of
     strictly opposite signs in ``coeffs[i]`` (equation ``i``'s, over block
-    ``i``'s points).  Each sign is decided once, when first needed; a float
-    coefficient at most 1e-9 times the equation's largest in magnitude
-    raises :class:`IndeterminateSign`."""
+    ``i``'s points).  Each sign is exact, a float's too, and decided once,
+    when first needed."""
     signs = {}
 
     def sign(i, j):
         if j not in signs:
             c = coeffs[i][j - cay.offsets[i]]
-            signs[j] = (_sign(c, max(abs(float(x)) for x in coeffs[i]))
-                        if isinstance(c, float) else _sign(c))
+            signs[j] = (c > 0) - (c < 0)
         return signs[j]
 
     def decorated(s):

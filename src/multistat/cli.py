@@ -152,7 +152,7 @@ def _analysis_stages(net, partition, kappa, totals):
         "decoration": {
             "decorated": [list(s) for s in decor.decorated],
             "facet_pairs": [[list(a), list(b)] for a, b in decor.facet_pairs],
-            "indeterminate": [list(s) for s in decor.indeterminate],
+            "indeterminate": [],  # always empty; the key leaves with the next schema bump
             "families": _families(decor.families),
         },
     }
@@ -189,8 +189,11 @@ def _finish(doc, args, summary_lines):
         for line in summary_lines:
             print(line)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.dumps(doc))
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(report.dumps(doc))
+        except OSError as e:
+            raise CliError(str(e), EXIT_PARSE)
         if not args.quiet:
             print("report written to %s" % args.out)
 
@@ -343,8 +346,9 @@ def cmd_subdivision(args):
     if args.check:
         r = cfg.d + 1
         cells = [tuple(sorted(c)) for c in _read_rows(
-            args.check, "one cell (%d distinct point indices below %d)" % (r, cfg.n),
-            lambda c: len(set(c)) == len(c) == r and all(0 <= i < cfg.n for i in c))]
+            args.check, "one cell (%d affinely independent point indices below %d)" % (r, cfg.n),
+            lambda c: len(set(c)) == len(c) == r and all(0 <= i < cfg.n for i in c)
+            and cfg.minor(tuple(sorted(c))) != 0)]
         ok, height = is_regular(cfg, cells)
         doc["check"] = {
             "cells": [list(c) for c in cells],
@@ -432,7 +436,7 @@ def main(argv=None):
         error, code = e, e.code
     except ParseError as e:
         error, code = e, EXIT_PARSE
-    except (ValueError, decoration.IndeterminateSign) as e:  # MessiError is a ValueError
+    except ValueError as e:  # MessiError is a ValueError
         error, code = e, EXIT_HYPOTHESIS
     print("error: %s" % error, file=sys.stderr)
     return code

@@ -15,7 +15,6 @@ number of positive zeros.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -23,7 +22,6 @@ from . import points as pts_mod
 from . import ratlin
 
 __all__ = [
-    "IndeterminateSign",
     "positively_spanning",
     "is_decorated",
     "find_decorated",
@@ -33,48 +31,11 @@ __all__ = [
 ]
 
 
-class IndeterminateSign(ArithmeticError):
-    """A float sign decision fell below the relative threshold."""
-
-
-_REL_EPS = 1e-9
-
-
-def _sign(x, scale=None):
-    """Sign of ``x``; exact for Fractions/ints, thresholded for floats."""
-    if isinstance(x, float):
-        tol = _REL_EPS * (scale if scale else 1.0)
-        if abs(x) <= tol:
-            raise IndeterminateSign("sign of %r indeterminate at scale %r" % (x, scale))
-        return 1 if x > 0 else -1
-    if x == 0:
-        return 0
-    return 1 if x > 0 else -1
-
-
-def _minors(C):
-    """One memo of the maximal minors of ``C``: ``minor(cols)`` is the
-    determinant of the columns ``cols``, computed at most once, by numpy
-    when ``C`` holds a float, else :func:`ratlin.minors` (an integer with
-    the sign of the true minor)."""
-    if not any(isinstance(x, float) for row in C for x in row):
-        return ratlin.minors(C)
-    import numpy as np
-
-    @functools.cache
-    def det(cols):
-        return float(np.linalg.det(np.array([[float(row[j]) for j in cols] for row in C])))
-
-    return det
-
-
 def _spans(minor, simplex):
     """The sign rule of :func:`positively_spanning` on the columns
-    ``simplex`` of a matrix whose :func:`_minors` memo is ``minor``, float
-    minors decided against the largest in magnitude."""
+    ``simplex`` of a matrix whose :func:`ratlin.minors` memo is ``minor``."""
     v = [(-1) ** i * minor(simplex[:i] + simplex[i + 1:]) for i in range(len(simplex))]
-    scale = (max(map(abs, v)) or 1.0) if isinstance(v[0], float) else None
-    return {_sign(x, scale) for x in v} in ({1}, {-1})
+    return all(x > 0 for x in v) or all(x < 0 for x in v)
 
 
 def positively_spanning(M):
@@ -82,19 +43,17 @@ def positively_spanning(M):
     the signed minors alternate coherently, i.e. the kernel is spanned by a
     vector with all entries of one strict sign.
 
-    Exact for rational input.  For float input, signs are decided with a
-    relative threshold of 1e-9 against the largest minor magnitude and
-    :class:`IndeterminateSign` is raised instead of guessing.
+    Exact: a float entry is read as the rational it is.
     """
     if any(len(row) != len(M) + 1 for row in M):
         raise ValueError("matrix must be d x (d+1)")
-    return _spans(_minors(M), tuple(range(len(M) + 1)))
+    return _spans(ratlin.minors(M), tuple(range(len(M) + 1)))
 
 
 def is_decorated(C, simplex):
     """Whether the columns ``simplex`` of ``C`` form a positively decorated
     simplex."""
-    return _spans(_minors(C), tuple(simplex))
+    return _spans(ratlin.minors(C), tuple(simplex))
 
 
 @dataclass
@@ -109,7 +68,6 @@ class DecorationReport:
     decorated: list  # all decorated simplices, lex order
     facet_pairs: list  # facet-sharing decorated pairs
     families: list  # maximal jointly realizable families (DecoratedFamily)
-    indeterminate: list = field(default_factory=list)
 
     @property
     def best(self):
@@ -225,21 +183,15 @@ def find_decorated(cfg, C):
     in lexicographic order, every check decided exactly (integer
     certificates, then the exact LP); each carries a rational witness
     height from the exact LP on its joint cone.  The decoration reads one
-    :func:`_minors` memo, the facet pairs the cached cone normals; all else
+    :func:`ratlin.minors` memo, the facet pairs the cached cone normals; all else
     is kept per configuration (:class:`_Table`); the report holds copies."""
     table = _table(("points", tuple(cfg.points)), lambda: _Table(
         cfg, tuple(pts_mod.enumerate_simplices(cfg)), "strict_feasible"))
-    minor = _minors(C)
-    decorated, indeterminate = [], []
-    for s in table.simplices:
-        try:
-            if _spans(minor, s):
-                decorated.append(s)
-        except IndeterminateSign:
-            indeterminate.append(s)
+    minor = ratlin.minors(C)
+    decorated = [s for s in table.simplices if _spans(minor, s)]
     families = [DecoratedFamily(sorted(family), *table.cone(family))
                 for family in table.grow(decorated)]
     families.sort(key=lambda f: (-len(f.simplices), f.simplices))
     facet_pairs = [(s1, s2) for s1, s2 in combinations(decorated, 2)
                    if pts_mod.shares_facet(s1, s2, table.normals[s1])]
-    return DecorationReport(decorated, facet_pairs, families, indeterminate)
+    return DecorationReport(decorated, facet_pairs, families)

@@ -671,7 +671,8 @@ def assemble_region_system(net, partition, kappa, totals, chosen=None, param=Non
     Row ``alpha`` is ``sum_j C[alpha][j] x^{a_j} = 0`` including the
     constant column ``-T_alpha`` at exponent 0; the exponents form the
     point configuration of the region system.  Every total must be positive
-    and finite.
+    and finite; each is converted to a ``Fraction`` (exact for floats too),
+    so ``C`` is exact.
     """
     if param is None:
         param = steady_state_parametrization(net, partition, kappa, chosen)
@@ -682,6 +683,7 @@ def assemble_region_system(net, partition, kappa, totals, chosen=None, param=Non
     if len(totals) != m:
         raise MessiError("need one total per conservation law (%d)" % m)
     _positive_finite((("T%d" % (b + 1), t) for b, t in enumerate(totals)), "total")
+    totals = [Fraction(t) for t in totals]
     rows = []
     for b, law in enumerate(laws):
         poly = {}
@@ -700,7 +702,7 @@ def assemble_region_system(net, partition, kappa, totals, chosen=None, param=Non
         "%s^%d" % (sp, ei) if ei != 1 else sp
         for sp, ei in zip(chosen, e) if ei
     ) or "1" for e in columns]
-    return RegionSystem(cfg, C, chosen, list(totals), param, laws, symbols, model)
+    return RegionSystem(cfg, C, chosen, totals, param, laws, symbols, model)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multistat import cayley, decoration, points, ratlin
+from multistat import cayley, points, ratlin
 from multistat.cayley import cayley_configuration, enumerate_mixed_simplices
 from oracles import (
     block_pairs,
@@ -111,24 +111,14 @@ def test_mixed_decoration_rejects_same_sign_pair():
 def reference_is_mixed_decorated(cay, coeffs, simplex):
     """The one-simplex check before signs were decided once per call."""
     for i, (j1, j2) in enumerate(block_pairs(cay, simplex)):
-        c1 = coeffs[i][j1 - cay.offsets[i]]
-        c2 = coeffs[i][j2 - cay.offsets[i]]
-        scale = max(abs(float(c1)), abs(float(c2)), *(abs(float(c)) for c in coeffs[i]))
-        s1 = decoration._sign(c1, scale) if isinstance(c1, float) else decoration._sign(c1)
-        s2 = decoration._sign(c2, scale) if isinstance(c2, float) else decoration._sign(c2)
-        if s1 == 0 or s2 == 0 or s1 == s2:
+        s1 = Fraction(coeffs[i][j1 - cay.offsets[i]]).numerator
+        s2 = Fraction(coeffs[i][j2 - cay.offsets[i]]).numerator
+        if s1 == 0 or s2 == 0 or (s1 > 0) == (s2 > 0):
             return False
     return True
 
 
-def outcome(check):
-    try:
-        return check()
-    except decoration.IndeterminateSign as e:
-        return "raised: %s" % e
-
-
-# exact signs, zeros, and floats whose sign is decided or indeterminate
+# exact signs, zeros, and floats, tiny ones too, each decided exactly
 COEFF = st.one_of(st.integers(-2, 2).map(Fraction),
                   st.sampled_from([1.0, -2.5, 0.0, 1e-12, -3e-10, 4e-9]))
 
@@ -138,9 +128,9 @@ COEFF = st.one_of(st.integers(-2, 2).map(Fraction),
 def test_memoized_signs_match_the_one_simplex_check(coeffs):
     cay = cayley_configuration(HK_BLOCKS)
     simplices = enumerate_mixed_simplices(cay)
-    expected = outcome(lambda: [reference_is_mixed_decorated(cay, coeffs, s) for s in simplices])
-    assert outcome(lambda: cayley.mixed_decorated(cay, coeffs, simplices)) == expected
-    assert outcome(lambda: [is_mixed_decorated(cay, coeffs, s) for s in simplices]) == expected
+    expected = [reference_is_mixed_decorated(cay, coeffs, s) for s in simplices]
+    assert cayley.mixed_decorated(cay, coeffs, simplices) == expected
+    assert [is_mixed_decorated(cay, coeffs, s) for s in simplices] == expected
 
 
 def test_mixed_cone_matches_reference_normals():

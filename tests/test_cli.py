@@ -312,20 +312,29 @@ def test_one_value_per_rate_name_from_a_file(tmp_path, capsys, first, second, er
     assert capsys.readouterr().err == "error: %s\n" % err
 
 
-SQUARE = "0 0\n1 0\n0 1\n1 1\n"
+# four points, the first three on a line
+POINTS = "0 0\n1 0\n2 0\n0 1\n"
 
 
-@pytest.mark.parametrize("cells", ["0 1 9", "0 1 -1", "0 1", "0 0 1", "0 1 2 3"])
+# the last cell is distinct and in range, but affinely dependent
+@pytest.mark.parametrize("cells", ["0 1 9", "0 1 -1", "0 1", "0 0 1", "0 1 2 3", "0 1 2"])
 def test_subdivision_cells_out_of_shape_or_range(tmp_path, capsys, cells):
     pts = tmp_path / "points.txt"
     check = tmp_path / "cells.txt"
-    pts.write_text(SQUARE)
-    check.write_text("# one good cell, then a bad one\n0 1 2\n%s\n" % cells)
+    pts.write_text(POINTS)
+    check.write_text("# one good cell, then a bad one\n0 1 3\n%s\n" % cells)
     assert main(["subdivision", str(pts), "--check", str(check)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: %s:3: expected one cell (3 distinct point indices below 4) per line\n" % check)
+        "error: %s:3: expected one cell (3 affinely independent point indices below 4)"
+        " per line\n" % check)
+
+
+def test_an_unwritable_out_path_exits_2_without_a_traceback(tmp_path, capsys):
+    out_path = str(tmp_path / "missing" / "x.json")
+    assert main(["analyze", *HK_ARGS, "--quiet", "--out", out_path]) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: %r\n" % out_path)
 
 
 @pytest.mark.parametrize(

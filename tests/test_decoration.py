@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multistat import decoration, points
-from multistat.decoration import (
-    IndeterminateSign,
-    find_decorated,
-    is_decorated,
-    positively_spanning,
-)
+from multistat import points
+from multistat.decoration import find_decorated, is_decorated, positively_spanning
 from multistat.messi import assemble_region_system
 from multistat.networks import hybrid_kinase, mixed_phosphorylation, phosphorylation
 from multistat.points import PointConfiguration
@@ -68,22 +63,15 @@ def test_scaling_invariance():
         assert positively_spanning(scaled) == base
 
 
-def test_float_indeterminate_raises():
-    with pytest.raises(IndeterminateSign):
-        positively_spanning([[1.0, 0.0, 1e-16], [0.0, 1.0, -1.0]])
-
-
 def test_float_agrees_with_exact():
     rng = random.Random(6)
     for _ in range(300):
         d = rng.randint(1, 3)
-        M = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d + 1)] for _ in range(d)]
-        Mf = [[float(x) for x in row] for row in M]
-        try:
-            got = positively_spanning(Mf)
-        except IndeterminateSign:
-            continue
-        assert got == positively_spanning(M)
+        Mf = [[rng.randint(-4, 4) / rng.randint(1, 3) for _ in range(d + 1)] for _ in range(d)]
+        v = spanning_kernel_vector([[Fraction(x) for x in row] for row in Mf])
+        assert positively_spanning(Mf) == (all(x > 0 for x in v) or all(x < 0 for x in v))
+    # a minor of 1e-16 is small, not zero
+    assert positively_spanning([[1.0, 0.0, -1e-16], [0.0, 1.0, -1.0]])
 
 
 def test_hk_decoration_interval_case():
@@ -147,25 +135,14 @@ RATIONAL = st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator
 
 
 def per_simplex_decoration(cfg, C):
-    """The decorated and the indeterminate simplices, each simplex decided
-    on its own: exact signed minors by :func:`oracles.spanning_kernel_vector`,
-    or for a float ``C`` numpy's determinant of every submatrix, each sign
-    decided against 1e-9 times the largest of the simplex's minors."""
-    decorated, indeterminate = [], []
+    """The decorated simplices, each simplex decided on its own by the
+    exact signed minors of :func:`oracles.spanning_kernel_vector`."""
+    decorated = []
     for s in points.enumerate_simplices(cfg):
-        sub = [[row[j] for j in s] for row in C]
-        if isinstance(C[0][0], float):
-            v = [(-1) ** i * np.linalg.det(np.delete(np.array(sub), i, axis=1))
-                 for i in range(len(s))]
-            scale = max(abs(x) for x in v) or 1.0
-            if any(abs(x) <= 1e-9 * scale for x in v):
-                indeterminate.append(s)
-                continue
-        else:
-            v = spanning_kernel_vector(sub)
+        v = spanning_kernel_vector([[row[j] for j in s] for row in C])
         if all(x > 0 for x in v) or all(x < 0 for x in v):
             decorated.append(s)
-    return decorated, indeterminate
+    return decorated
 
 
 @pytest.mark.parametrize("name", sorted(NETWORKS))
@@ -176,9 +153,44 @@ def test_find_decorated_matches_the_per_simplex_oracle(name, data):
     kappa = {r.rate_name: data.draw(RATIONAL, label=r.rate_name) for r in net.reactions}
     totals = [data.draw(RATIONAL, label="T%d" % i) for i in range(1, len(part))]
     r = assemble_region_system(net, part, kappa, totals)
-    for C in (r.C, [[float(x) for x in row] for row in r.C]):
-        report = find_decorated(r.cfg, C)
-        assert (report.decorated, report.indeterminate) == per_simplex_decoration(r.cfg, C)
-        assert report.facet_pairs == [
-            (s1, s2) for s1, s2 in combinations(report.decorated, 2)
-            if affine_shares_facet(r.cfg, s1, s2)]
+    report = find_decorated(r.cfg, r.C)
+    assert report.decorated == per_simplex_decoration(r.cfg, r.C)
+    assert report.facet_pairs == [
+        (s1, s2) for s1, s2 in combinations(report.decorated, 2)
+        if affine_shares_facet(r.cfg, s1, s2)]
+
+
+# ---------------------------------------------------------------------------
+# float totals are read as the rationals they are
+# ---------------------------------------------------------------------------
+
+def _phospho2_acceptance_kappa():
+    net, _ = phosphorylation(2)
+    return dict({r.rate_name: 1 for r in net.reactions}, kcat1=2)
+
+
+# log2 of each rate, in reaction order: kon0, koff0, kcat0, lon0, loff0, lcat0,
+# then the same for sites 1 and 2
+PHOSPHO3_LOG2_KAPPA = [6, -1, -3, -6, 4, -3, 3, -2, -2, -4, 6, 4, 5, -5, -6, -1, 5, -4]
+
+
+def _phospho3_kappa():
+    net, _ = phosphorylation(3)
+    return {r.rate_name: Fraction(2) ** e for r, e in zip(net.reactions, PHOSPHO3_LOG2_KAPPA)}
+
+
+@pytest.mark.parametrize("n,kappa,totals,best", [
+    (2, _phospho2_acceptance_kappa(), [1.0, 1.0, 3.0], 3),
+    (3, _phospho3_kappa(), [13.911943762286851, 15.021790446515373, 16.85755671186738], 3),
+])
+def test_float_totals_decorate_as_their_exact_values(n, kappa, totals, best):
+    """The whole report (dataclass equality, every field) is the same."""
+    net, part = phosphorylation(n)
+
+    def decor(T):
+        r = assemble_region_system(net, part, kappa, T)
+        return find_decorated(r.cfg, r.C)
+
+    got = decor(totals)
+    assert got == decor([Fraction(t) for t in totals])
+    assert len(got.best.simplices) == best

@@ -219,7 +219,7 @@ def cold_find_decorated(cfg, C):
 
 
 def contents(report):
-    return (report.decorated, report.facet_pairs, report.indeterminate,
+    return (report.decorated, report.facet_pairs,
             [(f.simplices, f.height, f.cone.normals, f.cone.dim) for f in report.families])
 
 
@@ -264,7 +264,6 @@ def test_mutating_a_report_leaves_the_next_one_unchanged():
     before = copy.deepcopy(contents(report))
     report.decorated.pop()
     report.facet_pairs.clear()
-    report.indeterminate.append((0, 1, 2, 3))
     for f in report.families:
         f.simplices.reverse()
         f.height[0] += 1
